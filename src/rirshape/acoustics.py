@@ -75,7 +75,10 @@ def estimate_rt60(h: Rir, fit_range_db: tuple[float, float] = FIT_RANGE_DB,
         raise UndefinedDecayError(
             f"decay crosses [{low}, {high}] dB in {span * 1e3:.2f} ms, "
             f"below the {min_decay_span * 1e3:.0f} ms floor")
-    slope, _ = np.polyfit(times, curve.levels[mask], 1)
+    # closed-form least-squares slope on centred data (no LAPACK call)
+    dt = times - times.mean()
+    levels = curve.levels[mask]
+    slope = np.sum(dt * (levels - levels.mean())) / np.sum(dt * dt)
     if slope >= 0.0:
         raise UndefinedDecayError("energy decay curve has nonnegative slope")
     return float(-60.0 / slope)

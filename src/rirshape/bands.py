@@ -7,13 +7,20 @@ to the spectrum's energy. Band gains are target/mixture energy ratios
 clamped to [0, 1], and can be interpolated back onto bins either with
 the triangular weights (production) or by band ownership (rectangular,
 which makes the gains-to-energies loop an exact identity).
+
+Products against the weights go through a sparse copy of them rather
+than a dense BLAS matmul: each bin has only two nonzero weights, and a
+threaded BLAS inside every dataset-build worker process makes the
+workers contend for the cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import kvtext
 from .dsp import FrameSpectra
@@ -54,6 +61,11 @@ class Filterbank:
     def n_bins(self) -> int:
         return self.weights.shape[1]
 
+    @cached_property
+    def sparse_weights(self) -> csr_array:
+        """``weights`` as a CSR array, for products that avoid BLAS."""
+        return csr_array(self.weights)
+
     def bin_owners(self) -> np.ndarray:
         """Index of the band holding each bin's peak weight."""
         return np.argmax(self.weights, axis=0)
@@ -66,6 +78,7 @@ class Filterbank:
         return Filterbank(weights, self.band_centers, self.sample_rate, self.fft_size)
 
 
+@lru_cache(maxsize=None)
 def design_erb_filterbank(fft_size: int, sample_rate: int = 48000,
                           n_bands: int = N_BANDS) -> Filterbank:
     """Design the triangular ERB-scale filterbank for one FFT layout.
@@ -73,7 +86,8 @@ def design_erb_filterbank(fft_size: int, sample_rate: int = 48000,
     Centers run from 0 Hz to Nyquist with a constant ERB-rate step; a
     bin between two centers splits its weight linearly in ERB-rate, and
     the edge bands extend flat to the spectrum edges. Every bin's
-    weights sum to one.
+    weights sum to one. Designs are cached per argument set and shared
+    by every caller, so their arrays are read-only.
     """
     if fft_size < 64:
         raise ParameterError(f"fft_size must be at least 64, got {fft_size}")
@@ -100,6 +114,8 @@ def design_erb_filterbank(fft_size: int, sample_rate: int = 48000,
     cols = np.arange(n_bins)
     weights[segment, cols] = 1.0 - fraction
     weights[segment + 1, cols] += fraction
+    weights.flags.writeable = False
+    centers.flags.writeable = False
     return Filterbank(weights, centers, sample_rate, fft_size)
 
 
@@ -144,7 +160,7 @@ def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
         raise SampleRateMismatchError(
             f"spectra at {spectra.sample_rate} Hz vs filterbank at {fb.sample_rate} Hz")
     power = np.abs(spectra.frames) ** 2
-    return BandMatrix(np.sqrt(power @ fb.weights.T), "energy")
+    return BandMatrix(np.sqrt(fb.sparse_weights.dot(power.T).T), "energy")
 
 
 def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True,
@@ -191,7 +207,7 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix, fb: Filterbank,
         raise ShapeMismatchError(
             f"{noisy_spectra.n_bins} spectrum bins vs {fb.n_bins} filterbank bins")
     if mode == "triangular":
-        per_bin = gains.values @ fb.weights
+        per_bin = fb.sparse_weights.T.dot(gains.values.T).T
     else:
         per_bin = gains.values[:, fb.bin_owners()]
     return FrameSpectra(noisy_spectra.frames * per_bin, noisy_spectra.sample_rate,
@@ -206,11 +222,9 @@ def write_band_matrix_csv(matrix: BandMatrix, path, fb: Filterbank | None = None
     if fb is not None and fb.n_bands != matrix.n_bands:
         raise ShapeMismatchError(f"{matrix.n_bands} columns vs {fb.n_bands} band centers")
     centers = fb.band_centers if fb is not None else np.zeros(matrix.n_bands)
-    header = "# role=%s band_centers_hz=%s" % (
-        matrix.role, ",".join(format(c, ".9g") for c in centers))
-    lines = [header]
-    for row in matrix.values:
-        lines.append(",".join(format(v, ".9g") for v in row))
+    row_format = ",".join(["%.9g"] * matrix.n_bands)
+    lines = ["# role=%s band_centers_hz=%s" % (matrix.role, row_format % tuple(centers.tolist()))]
+    lines += [row_format % tuple(row) for row in matrix.values.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

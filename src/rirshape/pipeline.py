@@ -11,6 +11,8 @@ under any worker count or scheduling order.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import kvtext
 from .acoustics import estimate_rt60
-from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gains,
-                    write_band_matrix_csv)
+from .bands import (BandMatrix, Filterbank, band_energies, design_erb_filterbank,
+                    ideal_gains, write_band_matrix_csv)
 from .dsp import DEFAULT_SAMPLE_RATE, Signal, analyze, convolve, mix_at_snr
 from .errors import (ManifestError, ParameterError, RirshapeError,
                      SampleRateMismatchError, UndefinedDecayError)
@@ -32,15 +34,6 @@ from .wavio import read_wav, write_wav
 DEFAULT_SNR_RANGE = (-5.0, 45.0)
 DEFAULT_P_NOISE_FREE = 0.05
 DEFAULT_TAIL_SECONDS = 0.5
-
-_FILTERBANK_CACHE: dict[tuple[int, int], object] = {}
-
-
-def _default_filterbank(sample_rate: int, fft_size: int):
-    key = (sample_rate, fft_size)
-    if key not in _FILTERBANK_CACHE:
-        _FILTERBANK_CACHE[key] = design_erb_filterbank(fft_size, sample_rate)
-    return _FILTERBANK_CACHE[key]
 
 
 @dataclass
@@ -137,12 +130,16 @@ def sample_entry_randomness(global_seed: int, entry_index: int,
 
 @dataclass
 class Example:
-    """A generated training pair plus its gain matrix and provenance."""
+    """A generated training pair plus its gain matrix and provenance.
+
+    ``filterbank`` is the one the gains were computed with.
+    """
 
     input: Signal
     target: Signal
     gains: BandMatrix
     metadata: dict
+    filterbank: Filterbank
 
 
 def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
@@ -187,8 +184,8 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
 
     input_spectra = analyze(mixture)
     target_spectra = analyze(target)
-    fb = filterbank if filterbank is not None else _default_filterbank(
-        speech.sample_rate, input_spectra.fft_size)
+    fb = filterbank if filterbank is not None else design_erb_filterbank(
+        input_spectra.fft_size, speech.sample_rate)
     gains = ideal_gains(band_energies(target_spectra, fb),
                         band_energies(input_spectra, fb))
 
@@ -218,7 +215,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         "n_frames": gains.n_frames,
         "sample_rate": speech.sample_rate,
     }
-    return Example(mixture, target, gains, metadata)
+    return Example(mixture, target, gains, metadata, fb)
 
 
 # --- manifest text format ----------------------------------------------------
@@ -391,12 +388,15 @@ class DatasetSummary:
         return kvtext.dump_kv(record)
 
     def to_csv(self) -> str:
-        lines = ["entry_id,ok,reason,snr_db,noise_free,rt60_estimate,strategy"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("entry_id", "ok", "reason", "snr_db", "noise_free",
+                         "rt60_estimate", "strategy"))
         for r in self.results:
-            lines.append(",".join(kvtext.kv_str(v) for v in (
+            writer.writerow([kvtext.kv_str(v) for v in (
                 r.entry_id, r.ok, r.reason or "", r.snr_db, r.noise_free,
-                r.rt60_estimate, r.strategy)))
-        return "\n".join(lines) + "\n"
+                r.rt60_estimate, r.strategy)])
+        return out.getvalue()
 
 
 def _process_entry(task) -> EntryResult:
@@ -427,8 +427,8 @@ def _process_entry(task) -> EntryResult:
         out = Path(out_dir)
         write_wav(example.input, out / f"{entry_id}.input.wav")
         write_wav(example.target, out / f"{entry_id}.target.wav")
-        fb = _default_filterbank(speech.sample_rate, analyze(example.input).fft_size)
-        write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv", fb)
+        write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv",
+                              example.filterbank)
         metadata = {"entry_id": entry_id, "speech": entry.speech,
                     "noise": entry.noise,
                     "rir": entry.rir_path or f"synth(rt60={entry.rir_synth.rt60})"}

@@ -61,6 +61,16 @@ class TestEstimateRt60:
         assert estimate == pytest.approx(1.0, abs=0.01)
         assert abs(estimate - 1.0) < 0.01
 
+    def test_matches_polyfit_reference(self):
+        # the estimator's closed-form slope against a dense least-squares fit
+        for rt60 in np.linspace(0.2, 2.0, 10):
+            for seed in range(2):
+                h = synth_rir(float(rt60), seed=seed)
+                curve = energy_decay_curve(h)
+                mask = (curve.levels <= -5.0) & (curve.levels >= -35.0)
+                slope = np.polyfit(curve.times[mask], curve.levels[mask], 1)[0]
+                assert estimate_rt60(h) == pytest.approx(-60.0 / slope, rel=1e-9)
+
     def test_ideal_envelope_one_percent_across_rooms(self):
         for rt60 in (0.3, 0.6, 1.0, 1.5):
             estimate = estimate_rt60(envelope_rir(rt60))

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from rirshape import (BandMatrix, ParameterError, ShapeMismatchError, Signal,
                       ideal_gains)
 from rirshape.bands import (erb_rate, read_band_matrix_csv, read_band_matrix_raw,
                             write_band_matrix_csv, write_band_matrix_raw)
+from rirshape.dsp import FrameSpectra
 from conftest import speech_like
 
 FS = 48000
@@ -56,7 +60,6 @@ class TestFilterbankDesign:
 
 class TestBandEnergies:
     def test_zero_spectra(self, fb):
-        from rirshape.dsp import FrameSpectra
         spectra = FrameSpectra(np.zeros((9, FFT // 2 + 1), dtype=complex), FS, FFT)
         energies = band_energies(spectra, fb)
         assert energies.values.shape == (9, 32)
@@ -73,11 +76,22 @@ class TestBandEnergies:
         k = 123
         frames = np.zeros((1, FFT // 2 + 1), dtype=complex)
         frames[0, k] = 2.0
-        from rirshape.dsp import FrameSpectra
         energies = band_energies(FrameSpectra(frames, FS, FFT), fb)
         expected = np.sqrt(fb.weights[:, k] * 4.0)
         assert np.allclose(energies.values[0], expected, atol=1e-12)
         assert np.count_nonzero(energies.values[0]) <= 2
+
+    @pytest.mark.parametrize("sample_rate", [16000, 48000])
+    @pytest.mark.parametrize("fft_size", [64, 960, 1024, 2048])
+    def test_matches_dense_reference(self, fft_size, sample_rate):
+        bank = design_erb_filterbank(fft_size, sample_rate)
+        rng = np.random.default_rng(fft_size + sample_rate)
+        shape = (37, fft_size // 2 + 1)
+        frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectra = FrameSpectra(frames, sample_rate, fft_size, frame_advance_ms=0.5,
+                               window_ms=1.0)
+        dense = np.sqrt(np.abs(frames) ** 2 @ bank.weights.T)
+        assert np.allclose(band_energies(spectra, bank).values, dense, rtol=1e-12, atol=0.0)
 
     def test_fft_mismatch_rejected(self, fb):
         spectra = analyze(speech_like(0.1), fft_size=1024)
@@ -184,6 +198,16 @@ class TestApplyGains:
             # reconstructed target energy is scale-invariant
             assert np.allclose(g2.values * y2.values, g1.values * y1.values, rtol=1e-9)
 
+    def test_matches_dense_reference(self, fb):
+        spectra = analyze(speech_like(0.2, seed=12))
+        gains = BandMatrix(np.random.default_rng(3).uniform(0.0, 1.0,
+                                                            (spectra.n_frames, 32)), "gain")
+        for mode, weights in (("triangular", fb.weights),
+                              ("rectangular", fb.rectangularized().weights)):
+            out = apply_gains(spectra, gains, fb, mode=mode)
+            dense = spectra.frames * (gains.values @ weights)
+            assert np.allclose(out.frames, dense, rtol=1e-12, atol=0.0)
+
     def test_bad_mode_rejected(self, fb):
         spectra = analyze(speech_like(0.1))
         gains = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
@@ -227,6 +251,23 @@ class TestSerialization:
         assert lines[0].startswith("#") and "band_centers_hz=" in lines[0]
         assert len(lines) == 3
         assert all(len(line.split(",")) == 32 for line in lines[1:])
+
+    @given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310]),
+                                       st.floats(min_value=0.0, allow_infinity=False)),
+                             min_size=32, max_size=32),
+                    min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_rows_match_per_value_format(self, rows):
+        # reference: the per-value formatter the row template replaced
+        matrix = BandMatrix(np.array(rows), "gain")
+        fb = design_erb_filterbank(FFT, FS)
+        expected = ["# role=gain band_centers_hz="
+                    + ",".join(format(c, ".9g") for c in fb.band_centers)]
+        expected += [",".join(format(v, ".9g") for v in row) for row in matrix.values]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            write_band_matrix_csv(matrix, path, fb)
+            assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_raw_round_trip(self, tmp_path):
         values = np.random.default_rng(2).uniform(0.0, 1.0, (5, 32))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -237,6 +239,26 @@ class TestBuildDataset:
         assert sum(histogram.values()) == 3
         assert "rt60_hist" in summary.to_kv()
         assert summary.to_csv().count("\n") == 4  # header + 3 rows
+
+    def test_summary_csv_keeps_commas_in_reasons(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.entries[1].t0, manifest.entries[1].t1 = 0.05, 0.01  # fails at build
+        summary = build_dataset(manifest, corpus / "out")
+        reason = summary.failures()[0].reason
+        assert reason.startswith("ParameterError: need t1 > t0 >= 0, got t0=")
+        with open(corpus / "out" / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        assert {len(row) for row in rows} == {7}
+        assert rows[2][2] == reason
+
+    def test_entries_reuse_one_cached_filterbank(self, speech):
+        first = generate_example(speech, None, synth_rir(0.4, seed=1),
+                                 ShapingParams(Strategy.ATTENUATED_DECAYED), None, seed=0)
+        second = generate_example(speech, None, synth_rir(0.7, seed=2),
+                                  ShapingParams(Strategy.ATTENUATED_DECAYED), None, seed=1)
+        assert first.filterbank is second.filterbank
+        assert first.filterbank.n_bands == first.gains.n_bands
 
     def test_sampled_snr_comes_from_entry_stream(self, corpus):
         from rirshape.kvtext import load_kv
