@@ -23,7 +23,7 @@ def main():
     print(f"{'r0':>5} {'seed':>4} {'r0_est':>8} {'r1_pred':>8} {'r1_est':>8} {'dev':>7}")
     worst = 0.0
     for r0 in args.rt60s:
-        predicted = 1.0 / (1.0 / r0 + 1.0 / args.rd)
+        predicted = params.predicted_rt60(r0)
         for seed in range(args.seeds):
             h0 = synth_rir(r0, seed=seed)
             r0_est = estimate_rt60(h0)

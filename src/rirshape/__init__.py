@@ -6,10 +6,10 @@ from .bands import (BandMatrix, Filterbank, apply_gains, band_energies,
                     design_erb_filterbank, ideal_gains)
 from .dsp import (FrameSpectra, Signal, analyze, convolve, mix_at_snr,
                   power_complementary_window, synthesize)
-from .errors import (DegenerateEnergyError, MalformedSpectraError, ManifestError,
-                     ParameterError, RirshapeError, SampleRateMismatchError,
-                     ShapeMismatchError, TooShortError, UndefinedDecayError,
-                     WavFormatError)
+from .errors import (DegenerateEnergyError, KvFormatError, MalformedSpectraError,
+                     ManifestError, ParameterError, RirshapeError,
+                     SampleRateMismatchError, ShapeMismatchError, TooShortError,
+                     UndefinedDecayError, WavFormatError)
 from .pipeline import (DatasetManifest, Example, ManifestEntry, RirSynthSpec,
                        build_dataset, generate_example, load_manifest,
                        parse_manifest, sample_entry_randomness)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandMatrix", "DatasetManifest", "DecayCurve", "DegenerateEnergyError",
-    "Example", "Filterbank", "FrameSpectra", "MalformedSpectraError",
+    "Example", "Filterbank", "FrameSpectra", "KvFormatError", "MalformedSpectraError",
     "ManifestEntry", "ManifestError", "ParameterError", "Rir", "RirshapeError",
     "RirSynthSpec", "SampleRateMismatchError", "ShapeMismatchError",
     "ShapingParams", "ShapingReport", "Signal", "Strategy", "TooShortError",

@@ -8,17 +8,18 @@ estimate, and the energy ratio across the early/late boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kvtext
 from .errors import DegenerateEnergyError, ParameterError, UndefinedDecayError
-from .shaping import Rir, ShapingParams, Strategy, predicted_target_rt60
+from .shaping import DEFAULT_T1, Rir, ShapingParams
 
 FIT_RANGE_DB = (-5.0, -35.0)
 MIN_DECAY_SPAN = 0.030   # seconds between the -5 and -35 dB crossings
 MIN_FIT_POINTS = 16
+DEFAULT_DRR_BOUNDARY = DEFAULT_T1  # the early/late split shaping leaves intact
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,16 @@ def energy_decay_curve(h: Rir) -> DecayCurve:
     return DecayCurve(times, levels)
 
 
-def estimate_rt60(h: Rir, fit_range_db: tuple[float, float] = FIT_RANGE_DB,
-                  min_decay_span: float = MIN_DECAY_SPAN) -> float:
+def estimate_rt60(h: Rir) -> float:
     """Reverberation time from a line fit to the energy decay curve.
 
     Least squares over the curve between -5 and -35 dB, extrapolated to
     -60 dB (RT60 = -60 / slope). The decay is considered unmeasurable,
     and UndefinedDecayError raised, when the curve never spans the fit
-    range or crosses it in under ``min_decay_span`` seconds, as happens
-    for a bare impulse or a response whose tail has been zeroed.
+    range or crosses it in under 30 ms, as happens for a bare impulse
+    or a response whose tail has been zeroed.
     """
-    high, low = fit_range_db
-    if not low < high < 0.0:
-        raise ParameterError(f"fit range must satisfy low < high < 0, got {fit_range_db}")
+    high, low = FIT_RANGE_DB
     curve = energy_decay_curve(h)
     mask = (curve.levels <= high) & (curve.levels >= low)
     if np.count_nonzero(mask) < MIN_FIT_POINTS:
@@ -71,10 +69,10 @@ def estimate_rt60(h: Rir, fit_range_db: tuple[float, float] = FIT_RANGE_DB,
             f"[{low}, {high}] dB")
     times = curve.times[mask]
     span = times[-1] - times[0]
-    if span < min_decay_span:
+    if span < MIN_DECAY_SPAN:
         raise UndefinedDecayError(
             f"decay crosses [{low}, {high}] dB in {span * 1e3:.2f} ms, "
-            f"below the {min_decay_span * 1e3:.0f} ms floor")
+            f"below the {MIN_DECAY_SPAN * 1e3:.0f} ms floor")
     # closed-form least-squares slope on centred data (no LAPACK call)
     dt = times - times.mean()
     levels = curve.levels[mask]
@@ -120,16 +118,7 @@ class ShapingReport:
                   "relative_deviation,drr_before_db,drr_after_db,drr_boundary")
 
     def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "r0_estimate": self.r0_estimate,
-            "r1_estimate": self.r1_estimate,
-            "r1_predicted": self.r1_predicted,
-            "relative_deviation": self.relative_deviation,
-            "drr_before_db": self.drr_before_db,
-            "drr_after_db": self.drr_after_db,
-            "drr_boundary": self.drr_boundary,
-        }
+        return asdict(self)
 
     def to_kv(self) -> str:
         return kvtext.dump_kv(self.as_dict())
@@ -141,22 +130,13 @@ class ShapingReport:
 def verify_shaping(h0: Rir, h1: Rir, params: ShapingParams) -> ShapingReport:
     """Measure how shaping changed the room and compare with prediction.
 
-    ``h1`` is expected to be shape_rir(h0, params). The predicted target
-    reverberation time is the harmonic combination of the measured r0
-    with ``rd`` for decaying strategies, and r0 itself where no decay
-    curve is applied (uniform tail attenuation leaves the decay rate
-    unchanged). With a zeroed tail (full strategy, alpha = 0) there is
-    no prediction, and the estimator's undefined-decay error on h1
-    propagates. Estimator errors on h1 propagate in general.
+    ``h1`` is expected to be shape_rir(h0, params); the prediction is
+    ``params.predicted_rt60`` of the measured r0. Estimator errors
+    propagate, so a zeroed tail (full, alpha 0) raises UndefinedDecayError.
     """
     r0 = estimate_rt60(h0)
     r1 = estimate_rt60(h1)
-    if params.strategy.uses_decay:
-        predicted = predicted_target_rt60(r0, params.rd)
-    elif params.strategy is Strategy.FULL and params.alpha == 0.0:
-        predicted = None
-    else:
-        predicted = r0
+    predicted = params.predicted_rt60(r0)
     deviation = abs(r1 - predicted) / predicted if predicted else None
     boundary = params.t1
     return ShapingReport(

@@ -163,14 +163,13 @@ def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
     return BandMatrix(np.sqrt(fb.sparse_weights.dot(power.T).T), "energy")
 
 
-def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True,
-                energy_floor: float = ENERGY_FLOOR) -> BandMatrix:
+def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True) -> BandMatrix:
     """Per-band target/mixture energy ratios.
 
     g[l, b] = X[l, b] / Y[l, b], clamped to [0, 1] unless ``clamp`` is
     False (the raw ratio is what makes the rectangular-mode resynthesis
     identity exact). Frames where the mixture energy sits below
-    ``energy_floor`` yield 0 when the target is also below the floor
+    ``ENERGY_FLOOR`` yield 0 when the target is also below the floor
     and 1 otherwise; the result is never NaN.
     """
     if target.values.shape != noisy.values.shape:
@@ -180,9 +179,9 @@ def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True,
         raise ParameterError("ideal_gains expects two energy-role matrices")
     x = target.values
     y = noisy.values
-    silent = y < energy_floor
+    silent = y < ENERGY_FLOOR
     gains = x / np.where(silent, 1.0, y)
-    gains[silent] = np.where(x[silent] >= energy_floor, 1.0, 0.0)
+    gains[silent] = np.where(x[silent] >= ENERGY_FLOOR, 1.0, 0.0)
     if clamp:
         gains = np.clip(gains, 0.0, 1.0)
     return BandMatrix(gains, "gain")

@@ -39,15 +39,7 @@ def _require(args, *names) -> None:
 
 def _shaping_params(args) -> shaping.ShapingParams:
     _require(args, "strategy")
-    kwargs = {}
-    if args.t0 is not None:
-        kwargs["t0"] = args.t0
-    if args.t1 is not None:
-        kwargs["t1"] = args.t1
-    if args.rd is not None:
-        kwargs["rd"] = args.rd
-    return shaping.ShapingParams(shaping.Strategy(args.strategy),
-                                 alpha=args.alpha, **kwargs)
+    return shaping.ShapingParams(args.strategy, args.t0, args.t1, args.alpha, args.rd)
 
 
 def _add_shaping_flags(parser, with_strategy=True):
@@ -165,12 +157,8 @@ def cmd_make_dataset(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    params = shaping.ShapingParams(
-        shaping.Strategy.ATTENUATED_DECAYED,
-        t0=args.t0 if args.t0 is not None else shaping.DEFAULT_T0,
-        t1=args.t1 if args.t1 is not None else shaping.DEFAULT_T1,
-        alpha=args.alpha,
-        rd=args.rd if args.rd is not None else shaping.DEFAULT_RD)
+    params = shaping.ShapingParams(shaping.Strategy.ATTENUATED_DECAYED,
+                                   args.t0, args.t1, args.alpha, args.rd)
     if args.duration is not None:
         duration = args.duration
     elif args.function == "A":
@@ -227,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize a stochastic impulse response")
     p.add_argument("--rt60", type=float, default=None)
     p.add_argument("--length", type=float, default=None)
-    p.add_argument("--n-early", type=int, default=6)
+    p.add_argument("--n-early", type=int, default=shaping.DEFAULT_N_EARLY)
     p.add_argument("--sample-rate", type=int, default=dsp.DEFAULT_SAMPLE_RATE)
-    p.add_argument("--tail-level", type=float, default=0.05)
+    p.add_argument("--tail-level", type=float, default=shaping.DEFAULT_TAIL_LEVEL)
     p.add_argument("--out", default=None)
     p.add_argument("--encoding", default="float32", choices=wavio.ENCODINGS)
     p.set_defaults(func=cmd_synth_rir)
@@ -237,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-rir", parents=[common],
                        help="measure RT60 and DRR of an impulse response")
     p.add_argument("rir")
-    p.add_argument("--boundary", type=float, default=shaping.DEFAULT_T1)
+    p.add_argument("--boundary", type=float, default=acoustics.DEFAULT_DRR_BOUNDARY)
     p.add_argument("--edc-csv", default=None,
                    help="also write the energy decay curve as CSV")
     p.set_defaults(func=cmd_analyze_rir)
@@ -304,11 +292,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if getattr(args, dest) != action.default:
             continue  # explicit flag wins
         if action.type is not None:
-            value = action.type(raw)
+            try:
+                value = action.type(raw)
+            except ValueError as exc:
+                raise ParameterError(f"config key {key!r}: {exc}") from exc
         elif isinstance(action.default, bool):
             value = raw.lower() in ("1", "true", "yes")
         else:
             value = raw
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"config key {key!r}: {value!r} is not a valid choice")
         setattr(args, dest, value)
 
 

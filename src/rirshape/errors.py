@@ -39,3 +39,7 @@ class WavFormatError(RirshapeError, ValueError):
 
 class ManifestError(RirshapeError, ValueError):
     """A dataset manifest is malformed or self-contradictory."""
+
+
+class KvFormatError(RirshapeError, ValueError):
+    """A key=value text holds a line that is neither a pair nor a header."""

@@ -25,15 +25,15 @@ from .acoustics import estimate_rt60
 from .bands import (BandMatrix, Filterbank, band_energies, design_erb_filterbank,
                     ideal_gains, write_band_matrix_csv)
 from .dsp import DEFAULT_SAMPLE_RATE, Signal, analyze, convolve, mix_at_snr
-from .errors import (ManifestError, ParameterError, RirshapeError,
+from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      SampleRateMismatchError, UndefinedDecayError)
-from .shaping import (Rir, ShapingParams, Strategy, predicted_target_rt60,
+from .shaping import (DEFAULT_N_EARLY, Rir, ShapingParams, Strategy, check_synth_args,
                       read_rir, shape_rir, synth_rir)
 from .wavio import read_wav, write_wav
 
 DEFAULT_SNR_RANGE = (-5.0, 45.0)
 DEFAULT_P_NOISE_FREE = 0.05
-DEFAULT_TAIL_SECONDS = 0.5
+TAIL_SECONDS = 0.5  # reverberant tail kept past the end of the speech
 
 
 @dataclass
@@ -41,7 +41,7 @@ class RirSynthSpec:
     """Parameters for synthesizing an entry's impulse response on the fly."""
 
     rt60: float
-    n_early: int = 6
+    n_early: int = DEFAULT_N_EARLY
     length: float | None = None
 
 
@@ -68,18 +68,14 @@ class ManifestEntry:
     entry_id: str | None = None
 
     def shaping_params(self) -> ShapingParams:
-        kwargs = {}
-        if self.t0 is not None:
-            kwargs["t0"] = self.t0
-        if self.t1 is not None:
-            kwargs["t1"] = self.t1
-        if self.rd is not None:
-            kwargs["rd"] = self.rd
-        return ShapingParams(self.strategy, alpha=self.alpha, **kwargs)
+        return ShapingParams(self.strategy, self.t0, self.t1, self.alpha, self.rd)
 
     def validate(self) -> None:
         if (self.rir_path is None) == (self.rir_synth is None):
             raise ManifestError("entry needs exactly one of rir=/rir_rt60=")
+        if self.rir_synth is not None:
+            spec = self.rir_synth
+            check_synth_args(spec.rt60, spec.length, spec.n_early)
         self.shaping_params()
 
 
@@ -143,15 +139,13 @@ class Example:
 
 
 def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
-                     params: ShapingParams, snr_db: float | None, seed: int,
-                     tail_seconds: float = DEFAULT_TAIL_SECONDS,
-                     filterbank=None) -> Example:
+                     params: ShapingParams, snr_db: float | None, seed: int) -> Example:
     """Build one (input, target, gains) triple.
 
     The input is speech convolved with ``h0`` plus noise scaled to
     ``snr_db``; the target is the same speech convolved with the shaped
     response. Both are truncated identically to the speech length plus
-    ``tail_seconds``, so they stay sample-aligned. Passing no noise
+    ``TAIL_SECONDS``, so they stay sample-aligned. Passing no noise
     makes a noise-free example (``snr_db`` is ignored). The only
     randomness is the noise crop offset, drawn from ``seed``, so the
     result is fully deterministic.
@@ -172,7 +166,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     reverberant = convolve(speech, h0)
     target = convolve(speech, h1)
     out_len = min(len(reverberant),
-                  len(speech) + int(round(tail_seconds * speech.sample_rate)))
+                  len(speech) + int(round(TAIL_SECONDS * speech.sample_rate)))
     reverberant = Signal(reverberant.samples[:out_len], speech.sample_rate)
     target = Signal(target.samples[:out_len], speech.sample_rate)
 
@@ -184,8 +178,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
 
     input_spectra = analyze(mixture)
     target_spectra = analyze(target)
-    fb = filterbank if filterbank is not None else design_erb_filterbank(
-        input_spectra.fft_size, speech.sample_rate)
+    fb = design_erb_filterbank(input_spectra.fft_size, speech.sample_rate)
     gains = ideal_gains(band_energies(target_spectra, fb),
                         band_energies(input_spectra, fb))
 
@@ -193,12 +186,6 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         rt60_input = estimate_rt60(h0)
     except UndefinedDecayError:
         rt60_input = None
-    if params.strategy.uses_decay and rt60_input is not None:
-        rt60_target_predicted = predicted_target_rt60(rt60_input, params.rd)
-    elif params.strategy is Strategy.FULL and params.alpha == 0.0:
-        rt60_target_predicted = None
-    else:
-        rt60_target_predicted = rt60_input
 
     metadata = {
         "seed": seed,
@@ -211,7 +198,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         "alpha": params.alpha,
         "rd": params.rd,
         "rt60_input_estimate": rt60_input,
-        "rt60_target_predicted": rt60_target_predicted,
+        "rt60_target_predicted": params.predicted_rt60(rt60_input),
         "n_frames": gains.n_frames,
         "sample_rate": speech.sample_rate,
     }
@@ -226,36 +213,29 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
 # t0=/t1=/alpha=/rd= overrides, seed=, id=.
 
 def parse_manifest(text: str) -> DatasetManifest:
-    blocks: list[tuple[str, dict]] = []
-    current: dict | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in ("global", "entry"):
-                raise ManifestError(f"unknown manifest section [{name}]")
-            current = {}
-            blocks.append((name, current))
-            continue
-        if current is None:
-            raise ManifestError(f"key=value line outside any section: {line!r}")
-        if "=" not in line:
-            raise ManifestError(f"not a key=value line: {line!r}")
-        key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+    try:
+        (_, loose), *sections = kvtext.parse_sections(text)
+    except KvFormatError as exc:
+        raise ManifestError(str(exc)) from exc
+    if loose:
+        raise ManifestError(f"key {next(iter(loose))!r} outside any section")
 
     seed = 0
     snr_range = DEFAULT_SNR_RANGE
     p_noise_free = DEFAULT_P_NOISE_FREE
     entries: list[ManifestEntry] = []
-    for name, record in blocks:
+    for name, record in sections:
+        name = name.lower()
+        if name not in ("global", "entry"):
+            raise ManifestError(f"unknown manifest section [{name}]")
         if name == "global":
-            seed = int(record.get("seed", seed))
-            snr_range = (float(record.get("snr_min", snr_range[0])),
-                         float(record.get("snr_max", snr_range[1])))
-            p_noise_free = float(record.get("p_noise_free", p_noise_free))
+            try:
+                seed = int(record.get("seed", seed))
+                snr_range = (float(record.get("snr_min", snr_range[0])),
+                             float(record.get("snr_max", snr_range[1])))
+                p_noise_free = float(record.get("p_noise_free", p_noise_free))
+            except ValueError as exc:
+                raise ManifestError(f"bad global value: {exc}") from exc
         else:
             entries.append(_parse_entry(record))
     manifest = DatasetManifest(entries, seed, snr_range, p_noise_free)
@@ -280,7 +260,7 @@ def _parse_entry(record: dict) -> ManifestEntry:
         if "rir_rt60" in record:
             rir_synth = RirSynthSpec(
                 rt60=float(record["rir_rt60"]),
-                n_early=int(record.get("rir_n_early", 6)),
+                n_early=int(record.get("rir_n_early", DEFAULT_N_EARLY)),
                 length=float(record["rir_length"]) if "rir_length" in record else None)
         return ManifestEntry(
             speech=record["speech"],
@@ -302,34 +282,20 @@ def _parse_entry(record: dict) -> ManifestEntry:
 
 def format_manifest(manifest: DatasetManifest) -> str:
     """Render a manifest back to its text form (round-trips with parse)."""
-    lines = ["[global]",
-             f"seed={manifest.seed}",
-             f"snr_min={kvtext.kv_str(manifest.snr_range[0])}",
-             f"snr_max={kvtext.kv_str(manifest.snr_range[1])}",
-             f"p_noise_free={kvtext.kv_str(manifest.p_noise_free)}"]
+    lo, hi = manifest.snr_range
+    blocks = [("global", {"seed": manifest.seed, "snr_min": lo, "snr_max": hi,
+                          "p_noise_free": manifest.p_noise_free})]
     for entry in manifest.entries:
-        lines += ["", "[entry]", f"speech={entry.speech}"]
-        if entry.noise:
-            lines.append(f"noise={entry.noise}")
-        if entry.rir_path:
-            lines.append(f"rir={entry.rir_path}")
+        record = {"speech": entry.speech, "noise": entry.noise, "rir": entry.rir_path}
         if entry.rir_synth:
-            lines.append(f"rir_rt60={kvtext.kv_str(entry.rir_synth.rt60)}")
-            lines.append(f"rir_n_early={entry.rir_synth.n_early}")
-            if entry.rir_synth.length is not None:
-                lines.append(f"rir_length={kvtext.kv_str(entry.rir_synth.length)}")
-        lines.append("snr=sample" if entry.snr_db is None
-                     else f"snr={kvtext.kv_str(entry.snr_db)}")
-        lines.append(f"strategy={entry.strategy.value}")
-        for name in ("t0", "t1", "alpha", "rd"):
-            value = getattr(entry, name)
-            if value is not None:
-                lines.append(f"{name}={kvtext.kv_str(value)}")
-        if entry.seed is not None:
-            lines.append(f"seed={entry.seed}")
-        if entry.entry_id is not None:
-            lines.append(f"id={entry.entry_id}")
-    return "\n".join(lines) + "\n"
+            spec = entry.rir_synth
+            record.update(rir_rt60=spec.rt60, rir_n_early=spec.n_early,
+                          rir_length=spec.length)
+        record.update(snr="sample" if entry.snr_db is None else entry.snr_db,
+                      strategy=entry.strategy.value, t0=entry.t0, t1=entry.t1,
+                      alpha=entry.alpha, rd=entry.rd, seed=entry.seed, id=entry.entry_id)
+        blocks.append(("entry", {k: v for k, v in record.items() if v is not None}))
+    return "\n".join(f"[{name}]\n{kvtext.dump_kv(record)}" for name, record in blocks)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -445,8 +411,7 @@ def _process_entry(task) -> EntryResult:
                            strategy=entry.strategy.value)
 
 
-def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1,
-                  write_summary: bool = True) -> DatasetSummary:
+def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> DatasetSummary:
     """Generate every manifest entry into ``out_dir``.
 
     Writes ``<id>.input.wav``, ``<id>.target.wav``, ``<id>.gains.csv``
@@ -465,7 +430,6 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1,
     else:
         results = [_process_entry(task) for task in tasks]
     summary = DatasetSummary(results)
-    if write_summary:
-        (out / "summary.txt").write_text(summary.to_kv(), encoding="utf-8")
-        (out / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
+    (out / "summary.txt").write_text(summary.to_kv(), encoding="utf-8")
+    (out / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
     return summary

@@ -37,6 +37,9 @@ DEFAULT_ALPHA = 0.4
 
 MIN_SYNTH_RT60 = 0.05
 MAX_SYNTH_RT60 = 3.0
+DEFAULT_N_EARLY = 6
+DEFAULT_TAIL_LEVEL = 0.05
+SYNTH_EARLY_WINDOW = (0.002, DEFAULT_T0)  # s after the direct tap, early reflections
 
 
 class Strategy(str, Enum):
@@ -70,19 +73,22 @@ class ShapingParams:
 
     ``t0`` is the early/late boundary, ``t1`` the end of the smooth
     attenuation transition, ``alpha`` the late-tail amplitude factor and
-    ``rd`` the 60 dB decay time of the decay curve. ``alpha`` left as
-    None picks the strategy default (0 for full, 0.4 for
-    attenuated-decayed).
+    ``rd`` the 60 dB decay time of the decay curve. A value left as
+    None picks its default: 20 ms, 30 ms and 200 ms for the times, and
+    the strategy's own ``alpha`` (0 for full, 0.4 for attenuated-decayed).
     """
 
     strategy: Strategy
-    t0: float = DEFAULT_T0
-    t1: float = DEFAULT_T1
+    t0: float | None = None
+    t1: float | None = None
     alpha: float | None = None
-    rd: float = DEFAULT_RD
+    rd: float | None = None
 
     def __post_init__(self):
         self.strategy = Strategy(self.strategy)
+        self.t0 = DEFAULT_T0 if self.t0 is None else self.t0
+        self.t1 = DEFAULT_T1 if self.t1 is None else self.t1
+        self.rd = DEFAULT_RD if self.rd is None else self.rd
         if self.alpha is None:
             self.alpha = _STRATEGY_ALPHA_DEFAULT[self.strategy]
         if not 0.0 <= self.t0 < self.t1:
@@ -95,6 +101,19 @@ class ShapingParams:
     def as_dict(self) -> dict:
         return {"strategy": self.strategy.value, "t0": self.t0, "t1": self.t1,
                 "alpha": self.alpha, "rd": self.rd}
+
+    def predicted_rt60(self, r0: float | None) -> float | None:
+        """Reverberation time this shaping should leave a room of RT60 ``r0``.
+
+        The harmonic law when the strategy decays the tail, ``r0`` when it
+        only attenuates it (the decay rate is unchanged), and None for an
+        unknown ``r0`` or a zeroed tail (full, alpha 0).
+        """
+        if r0 is None or (self.strategy is Strategy.FULL and self.alpha == 0.0):
+            return None
+        if self.strategy.uses_decay:
+            return predicted_target_rt60(r0, self.rd)
+        return r0
 
 
 @dataclass(frozen=True)
@@ -192,36 +211,39 @@ def dirac_rir(sample_rate: int = DEFAULT_SAMPLE_RATE) -> Rir:
     return Rir(np.array([1.0]), sample_rate, 0)
 
 
-def synth_rir(rt60: float, *, length: float | None = None, n_early: int = 6,
-              direct_to_early_gap: float = 0.002, seed: int = 0,
-              sample_rate: int = DEFAULT_SAMPLE_RATE, tail_level: float = 0.05,
-              early_window: float = DEFAULT_T0) -> Rir:
-    """Synthesize a stochastic impulse response with a known decay time.
-
-    The model is a unit direct impulse at t = 0, ``n_early`` sparse
-    reflections at seeded-random times between ``direct_to_early_gap``
-    and ``early_window`` with amplitudes in [0.1, 0.7] (random sign),
-    and a Gaussian tail with envelope tail_level * 10^(-3 t / rt60),
-    whose energy decays by exactly 60 dB over ``rt60`` seconds. Output
-    is bit-identical for a fixed seed.
-
-    ``length`` defaults to max(1.5 * rt60, rt60 + 0.3) seconds, enough
-    for the decay measurement to span its full fit range.
-    """
+def check_synth_args(rt60: float, length: float | None, n_early: int,
+                     tail_level: float = DEFAULT_TAIL_LEVEL) -> None:
+    """Raise ParameterError unless :func:`synth_rir` accepts these arguments."""
     if not MIN_SYNTH_RT60 <= rt60 <= MAX_SYNTH_RT60:
         raise ParameterError(
             f"rt60 must lie in [{MIN_SYNTH_RT60}, {MAX_SYNTH_RT60}] s, got {rt60}")
-    if length is None:
-        length = max(1.5 * rt60, rt60 + 0.3)
-    if length < rt60:
+    if length is not None and length < rt60:
         raise ParameterError(f"length {length} s shorter than rt60 {rt60} s")
     if not 0.0 < tail_level <= 0.15:
         # keeps the direct tap the peak with overwhelming probability
         raise ParameterError(f"tail_level must lie in (0, 0.15], got {tail_level}")
     if n_early < 0:
         raise ParameterError("n_early must be nonnegative")
-    if n_early > 0 and not 0.0 <= direct_to_early_gap < early_window:
-        raise ParameterError("need 0 <= direct_to_early_gap < early_window")
+
+
+def synth_rir(rt60: float, *, length: float | None = None, n_early: int = DEFAULT_N_EARLY,
+              seed: int = 0, sample_rate: int = DEFAULT_SAMPLE_RATE,
+              tail_level: float = DEFAULT_TAIL_LEVEL) -> Rir:
+    """Synthesize a stochastic impulse response with a known decay time.
+
+    The model is a unit direct impulse at t = 0, ``n_early`` sparse
+    reflections at seeded-random times inside ``SYNTH_EARLY_WINDOW``
+    with amplitudes in [0.1, 0.7] (random sign), and a Gaussian tail
+    with envelope tail_level * 10^(-3 t / rt60), whose energy decays by
+    exactly 60 dB over ``rt60`` seconds. Output is bit-identical for a
+    fixed seed.
+
+    ``length`` defaults to max(1.5 * rt60, rt60 + 0.3) seconds, enough
+    for the decay measurement to span its full fit range.
+    """
+    check_synth_args(rt60, length, n_early, tail_level)
+    if length is None:
+        length = max(1.5 * rt60, rt60 + 0.3)
 
     n = int(round(length * sample_rate))
     rng = np.random.default_rng(seed)
@@ -230,7 +252,7 @@ def synth_rir(rt60: float, *, length: float | None = None, n_early: int = 6,
     taps = rng.standard_normal(n) * envelope
     taps[0] = 1.0
     for _ in range(n_early):
-        when = rng.uniform(direct_to_early_gap, early_window)
+        when = rng.uniform(*SYNTH_EARLY_WINDOW)
         amplitude = rng.uniform(0.1, 0.7) * (1.0 if rng.random() < 0.5 else -1.0)
         taps[int(round(when * sample_rate))] += amplitude
     # the direct tap must stay the peak even when an early reflection rides

@@ -85,10 +85,6 @@ class TestEstimateRt60:
         with pytest.raises(UndefinedDecayError):
             estimate_rt60(h)
 
-    def test_bad_fit_range_rejected(self):
-        with pytest.raises(ParameterError):
-            estimate_rt60(synth_rir(0.3, seed=0), fit_range_db=(-35.0, -5.0))
-
 
 class TestDrr:
     def test_equal_energy_both_sides(self):

@@ -252,3 +252,21 @@ class TestConfigAndEnv:
         code, _, err = run(capsys, "synth-rir", "--rt60", "0.3",
                            "--config", config, "--out", tmp_path / "x.wav")
         assert code != 0 and "error:" in err
+
+    @pytest.mark.parametrize("line", ["garbage line", "rt60=abc", "n_early=1.5"])
+    def test_malformed_config_prints_one_error_line(self, tmp_path, capsys, line):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "synth-rir", "--config", config,
+                           "--out", tmp_path / "x.wav")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_value_outside_flag_choices_rejected(self, tmp_path, rir_file, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("strategy=magic\n")
+        code, _, err = run(capsys, "shape", rir_file, "--config", config,
+                           "--out", tmp_path / "x.wav")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "strategy" in err

@@ -1,12 +1,15 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from rirshape import (ManifestError, ParameterError, ShapingParams, Strategy,
-                      build_dataset, generate_example, parse_manifest,
-                      sample_entry_randomness, synth_rir, write_rir, write_wav)
+                      build_dataset, estimate_rt60, generate_example, parse_manifest,
+                      sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
+                      write_rir, write_wav)
+from rirshape.kvtext import parse_kv
 from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest
 from conftest import noise_like, speech_like
 
@@ -94,6 +97,20 @@ class TestGenerateExample:
         with pytest.raises(ParameterError):
             generate_example(slow, None, h0, ShapingParams(Strategy.NONE), None, seed=1)
 
+    @pytest.mark.parametrize("strategy, alpha", [
+        (Strategy.NONE, None), (Strategy.FULL, 0.0), (Strategy.FULL, 0.4),
+        (Strategy.DECAYED, None), (Strategy.ATTENUATED_DECAYED, None),
+    ])
+    def test_metadata_and_verify_share_one_prediction(self, speech, strategy, alpha):
+        h0 = synth_rir(0.8, seed=4)
+        params = ShapingParams(strategy, alpha=alpha)
+        meta = generate_example(speech, None, h0, params, None, seed=1).metadata
+        expected = params.predicted_rt60(estimate_rt60(h0))
+        assert meta["rt60_target_predicted"] == expected
+        if expected is not None:  # a zeroed tail has no measurable r1
+            report = verify_shaping(h0, shape_rir(h0, params), params)
+            assert report.r1_predicted == expected
+
     def test_metadata_records_prediction(self, speech):
         h0 = synth_rir(1.0, seed=7)
         example = generate_example(speech, None, h0,
@@ -164,6 +181,31 @@ class TestManifest:
     def test_snr_outside_range_rejected(self):
         with pytest.raises(ManifestError):
             parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nsnr=99\n")
+
+    @pytest.mark.parametrize("text", [
+        "seed=1\n[entry]\nspeech=s.wav\nrir_rt60=0.5\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\njust words\n",
+        "[global]\nseed=abc\n",
+        "[global]\nsnr_min=low\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=9.0\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.01\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=0.1\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_n_early=-3\n",
+    ])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ManifestError):
+            parse_manifest(text)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Manifest format", 1)[1].split("```")[1]
+        manifest = parse_manifest(example)
+        assert manifest.seed == 42
+        assert manifest.entries[0].rir_path == "rooms/hall.wav"
+
+    def test_section_names_ignore_case(self):
+        manifest = parse_manifest("[GLOBAL]\nseed=3\n[Entry]\nspeech=s.wav\nrir=r.wav\n")
+        assert manifest.seed == 3 and len(manifest.entries) == 1
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ManifestError):
@@ -251,6 +293,19 @@ class TestBuildDataset:
         assert len(rows) == 4
         assert {len(row) for row in rows} == {7}
         assert rows[2][2] == reason
+
+    def test_summary_txt_keeps_one_line_per_key(self, corpus):
+        odd = corpus / "a\nb.wav"
+        odd.write_bytes(b"not a wave file")
+        manifest = small_manifest(corpus)
+        manifest.entries[1].speech = str(odd)
+        summary = build_dataset(manifest, corpus / "out")
+        record = parse_kv((corpus / "out" / "summary.txt").read_text(encoding="utf-8"))
+        assert set(record) == {"entries", "ok", "failed", "failure_ex00001"} | {
+            key for key in record if key.startswith("rt60_hist_")}
+        assert record["failed"] == "1"
+        reason = summary.failures()[0].reason
+        assert record["failure_ex00001"] == reason.replace("\n", "\\n")
 
     def test_entries_reuse_one_cached_filterbank(self, speech):
         first = generate_example(speech, None, synth_rir(0.4, seed=1),

@@ -169,6 +169,10 @@ class TestStrategyDefaults:
         params = ShapingParams(Strategy.NONE)
         assert params.t0 == 0.020 and params.t1 == 0.030
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_none_overrides_mean_defaults(self, strategy):
+        assert ShapingParams(strategy, None, None, None, None) == ShapingParams(strategy)
+
     def test_strategy_from_string(self):
         assert ShapingParams("decayed").strategy is Strategy.DECAYED
 
@@ -227,6 +231,14 @@ class TestSynthRir:
         with pytest.raises(ParameterError):
             synth_rir(1.0, length=0.5, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rt60": 9.0}, {"rt60": 0.5, "length": 0.1}, {"rt60": 0.5, "n_early": -3},
+        {"rt60": 0.5, "tail_level": 0.0}, {"rt60": 0.5, "tail_level": 0.2},
+    ])
+    def test_out_of_range_arguments_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            synth_rir(**kwargs)
+
 
 class TestDiracRir:
     def test_convolution_identity(self):
@@ -244,6 +256,24 @@ class TestDiracRir:
 
 
 class TestPredictions:
+    @pytest.mark.parametrize("strategy, alpha, r0, expected", [
+        (Strategy.NONE, None, 0.8, 0.8),
+        (Strategy.NONE, None, None, None),
+        (Strategy.FULL, None, 0.8, None),
+        (Strategy.FULL, 0.0, 0.8, None),
+        (Strategy.FULL, 0.4, 0.8, 0.8),
+        (Strategy.FULL, 0.4, None, None),
+        (Strategy.DECAYED, None, 0.8, 0.16),
+        (Strategy.DECAYED, None, None, None),
+        (Strategy.ATTENUATED_DECAYED, None, 0.8, 0.16),
+        (Strategy.ATTENUATED_DECAYED, 0.0, 0.8, 0.16),
+        (Strategy.ATTENUATED_DECAYED, None, None, None),
+    ])
+    def test_predicted_rt60_per_strategy(self, strategy, alpha, r0, expected):
+        predicted = ShapingParams(strategy, alpha=alpha).predicted_rt60(r0)
+        assert predicted == (None if expected is None
+                             else pytest.approx(expected, rel=1e-12))
+
     def test_target_rt60_basic(self):
         assert predicted_target_rt60(1.0, 0.2) == pytest.approx(1 / 6, rel=1e-12)
 
