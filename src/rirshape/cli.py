@@ -279,7 +279,11 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str):
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill args still at their parser default from the --config file."""
+    """Check every --config value, then fill the args still at their default.
+
+    A value is converted and choice-checked even where an explicit flag
+    overrides it, so a malformed config file is never half accepted.
+    """
     if not getattr(args, "config", None):
         return
     record = kvtext.load_kv(args.config)
@@ -289,8 +293,6 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         action = actions.get(dest)
         if action is None:
             raise ParameterError(f"config key {key!r} matches no flag of this command")
-        if getattr(args, dest) != action.default:
-            continue  # explicit flag wins
         if action.type is not None:
             try:
                 value = action.type(raw)
@@ -302,7 +304,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             value = raw
         if action.choices is not None and value not in action.choices:
             raise ParameterError(f"config key {key!r}: {value!r} is not a valid choice")
-        setattr(args, dest, value)
+        if getattr(args, dest) == action.default:  # an explicit flag wins
+            setattr(args, dest, value)
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,12 @@ Linear convolution, SNR-controlled mixing, and a 50%-overlap
 analysis/synthesis transform pair (20 ms windows, 10 ms hop at 48 kHz).
 Every operation is a pure function over immutable inputs and is safe to
 call concurrently.
+
+``convolve`` takes one impulse response or a list of equal-length ones;
+the list form transforms the signal once and derives every product from
+that one spectrum, bit-identical to convolving with each response in
+turn (``scipy.signal.fftconvolve``, including its rule that a one-tap
+response or a one-sample signal is an exact scale).
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import (
     DegenerateEnergyError,
@@ -117,34 +123,68 @@ def power_complementary_window(length: int) -> np.ndarray:
     return np.sin(0.5 * np.pi * np.sin(np.pi * (k + 0.5) / length) ** 2)
 
 
-def convolve(x: Signal, h, method: str = "fft") -> Signal:
-    """Linearly convolve a signal with an impulse response.
+def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
+    """Linearly convolve a signal with one or several impulse responses.
 
     Parameters
     ----------
     x : Signal
         Input waveform.
-    h : Rir or Signal
-        Impulse response; must share the sample rate of ``x``.
+    h : Rir or Signal, or a list of them
+        Impulse response(s); each must share the sample rate of ``x``.
+        A list must hold responses of one length and gives a list of
+        Signals, one per response; a single response gives one Signal.
     method : str
         ``fft`` (default) for the fast transform-domain path or
         ``direct`` for the O(N*M) multiply-accumulate path. Both paths
         produce the same full-length (len(x) + len(h) - 1) output to
         within rounding.
+    length : int, optional
+        Keep only the first ``length`` output samples (all of them when
+        ``length`` is None or beyond the full length).
+
+    The fft path transforms ``x`` once, whatever the number of
+    responses, and is bit-identical to ``scipy.signal.fftconvolve`` per
+    response: the same fast transform size, the signal's spectrum as the
+    first product operand, and a one-tap response (or a one-sample
+    signal) applied as an exact scale instead of a transform round trip.
     """
-    if x.sample_rate != h.sample_rate:
-        raise SampleRateMismatchError(
-            f"signal at {x.sample_rate} Hz vs impulse response at {h.sample_rate} Hz")
-    taps = getattr(h, "taps", None)
-    if taps is None:
-        taps = h.samples
+    many = isinstance(h, (list, tuple))
+    responses = list(h) if many else [h]
+    if not responses:
+        raise ParameterError("need at least one impulse response")
+    taps = []
+    for response in responses:
+        if x.sample_rate != response.sample_rate:
+            raise SampleRateMismatchError(
+                f"signal at {x.sample_rate} Hz vs impulse response at "
+                f"{response.sample_rate} Hz")
+        response_taps = getattr(response, "taps", None)
+        taps.append(response.samples if response_taps is None else response_taps)
+    n_taps = taps[0].size
+    if any(t.size != n_taps for t in taps):
+        raise ParameterError(
+            f"impulse responses differ in length: {sorted({t.size for t in taps})}")
+    full = len(x) + n_taps - 1
+    if length is not None and length < 1:
+        raise ParameterError(f"length must be at least 1, got {length}")
+    n_out = full if length is None else min(length, full)
+
     if method == "fft":
-        out = fftconvolve(x.samples, taps, mode="full")
+        if len(x) == 1 or n_taps == 1:
+            rows = [(x.samples * t)[:n_out] for t in taps]
+        else:
+            nfft = sp_fft.next_fast_len(full, real=True)
+            spectrum = sp_fft.rfft(x.samples, nfft)
+            products = sp_fft.rfft(np.stack(taps), nfft, axis=1)
+            np.multiply(spectrum, products, out=products)
+            rows = sp_fft.irfft(products, nfft, axis=1, overwrite_x=True)[:, :n_out]
     elif method == "direct":
-        out = np.convolve(x.samples, taps, mode="full")
+        rows = [np.convolve(x.samples, t, mode="full")[:n_out] for t in taps]
     else:
         raise ParameterError(f"unknown convolution method {method!r}")
-    return Signal(out, x.sample_rate)
+    out = [Signal(row, x.sample_rate) for row in rows]
+    return out if many else out[0]
 
 
 def fit_noise_length(noise: Signal, length: int, offset: int = 0) -> Signal:
@@ -156,8 +196,12 @@ def fit_noise_length(noise: Signal, length: int, offset: int = 0) -> Signal:
     """
     if length < 1:
         raise ParameterError("length must be at least 1")
-    idx = (offset + np.arange(length)) % len(noise)
-    return Signal(noise.samples[idx], noise.sample_rate)
+    # the part up to the noise's end, then whole cycles from its start:
+    # O(length) copies, however long the recording
+    start = offset % len(noise)
+    head = noise.samples[start:start + length]
+    fitted = np.concatenate((head, np.resize(noise.samples, length - head.size)))
+    return Signal(fitted, noise.sample_rate)
 
 
 def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
@@ -209,9 +253,8 @@ def analyze(signal: Signal, window_ms: float = WINDOW_MS,
         raise TooShortError(f"signal of {len(signal)} samples shorter than one "
                             f"{win}-sample window")
     window = power_complementary_window(win)
-    n_frames = 1 + (len(signal) - win) // hop
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(win)
-    frames = np.fft.rfft(signal.samples[idx] * window, n=fft_size, axis=1)
+    framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
+    frames = np.fft.rfft(framed * window, n=fft_size, axis=1)
     return FrameSpectra(frames, signal.sample_rate, fft_size,
                         frame_advance_ms, window_ms)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,13 +71,33 @@ class ManifestEntry:
     def shaping_params(self) -> ShapingParams:
         return ShapingParams(self.strategy, self.t0, self.t1, self.alpha, self.rd)
 
+    def resolved_id(self, index: int) -> str:
+        """The id this entry's files and summary lines are named by."""
+        return self.entry_id if self.entry_id is not None else f"ex{index:05d}"
+
     def validate(self) -> None:
+        if self.entry_id is not None:
+            _check_entry_id(self.entry_id)
         if (self.rir_path is None) == (self.rir_synth is None):
             raise ManifestError("entry needs exactly one of rir=/rir_rt60=")
         if self.rir_synth is not None:
             spec = self.rir_synth
             check_synth_args(spec.rt60, spec.length, spec.n_early)
         self.shaping_params()
+
+
+def _check_entry_id(entry_id: str) -> None:
+    """Reject an id that is not a plain file-name stem and summary key.
+
+    The id names the entry's files inside the output directory and its
+    ``failure_<id>`` line in ``summary.txt``, so it may hold no path
+    part, no ``=`` and nothing that breaks or hides a line.
+    """
+    if (entry_id in ("", ".", "..") or any(c in "/\\=" for c in entry_id)
+            or entry_id.splitlines() != [entry_id]
+            or any(unicodedata.category(c) == "Cc" for c in entry_id)):
+        raise ManifestError(f"unsafe entry id {entry_id!r}: it must be a non-empty "
+                            "file name without / \\ =, line breaks or control characters")
 
 
 @dataclass
@@ -94,6 +115,24 @@ class DatasetManifest:
             raise ManifestError(f"snr_range must be increasing, got {self.snr_range}")
         if not 0.0 <= self.p_noise_free <= 1.0:
             raise ManifestError(f"p_noise_free must lie in [0, 1], got {self.p_noise_free}")
+
+    def validate(self) -> None:
+        """Raise ManifestError for a bad entry or two entries with one resolved id."""
+        lo, hi = self.snr_range
+        first_index: dict[str, int] = {}
+        for i, entry in enumerate(self.entries):
+            try:
+                entry.validate()
+            except RirshapeError as exc:
+                raise ManifestError(f"entry {i}: {exc}") from exc
+            if entry.snr_db is not None and not lo <= entry.snr_db <= hi:
+                raise ManifestError(
+                    f"entry {i}: snr {entry.snr_db} outside range {self.snr_range}")
+            entry_id = entry.resolved_id(i)
+            if entry_id in first_index:
+                raise ManifestError(
+                    f"entries {first_index[entry_id]} and {i} share the id {entry_id!r}")
+            first_index[entry_id] = i
 
 
 @dataclass(frozen=True)
@@ -144,11 +183,12 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
 
     The input is speech convolved with ``h0`` plus noise scaled to
     ``snr_db``; the target is the same speech convolved with the shaped
-    response. Both are truncated identically to the speech length plus
-    ``TAIL_SECONDS``, so they stay sample-aligned. Passing no noise
-    makes a noise-free example (``snr_db`` is ignored). The only
-    randomness is the noise crop offset, drawn from ``seed``, so the
-    result is fully deterministic.
+    response. Both come from one transform of the speech (one
+    ``convolve`` call over both responses) and are truncated
+    identically to the speech length plus ``TAIL_SECONDS``, so they
+    stay sample-aligned. Passing no noise makes a noise-free example
+    (``snr_db`` is ignored). The only randomness is the noise crop
+    offset, drawn from ``seed``, so the result is fully deterministic.
     """
     if speech.sample_rate != DEFAULT_SAMPLE_RATE:
         raise ParameterError(
@@ -163,12 +203,8 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
             raise ParameterError(f"snr_db must be finite, got {snr_db}")
 
     h1 = shape_rir(h0, params)
-    reverberant = convolve(speech, h0)
-    target = convolve(speech, h1)
-    out_len = min(len(reverberant),
-                  len(speech) + int(round(TAIL_SECONDS * speech.sample_rate)))
-    reverberant = Signal(reverberant.samples[:out_len], speech.sample_rate)
-    target = Signal(target.samples[:out_len], speech.sample_rate)
+    out_len = len(speech) + int(round(TAIL_SECONDS * speech.sample_rate))
+    reverberant, target = convolve(speech, [h0, h1], length=out_len)
 
     if noise is not None:
         offset = int(np.random.default_rng(seed).integers(0, 2 ** 31))
@@ -239,14 +275,7 @@ def parse_manifest(text: str) -> DatasetManifest:
         else:
             entries.append(_parse_entry(record))
     manifest = DatasetManifest(entries, seed, snr_range, p_noise_free)
-    for i, entry in enumerate(manifest.entries):
-        try:
-            entry.validate()
-        except RirshapeError as exc:
-            raise ManifestError(f"entry {i}: {exc}") from exc
-        if entry.snr_db is not None and not snr_range[0] <= entry.snr_db <= snr_range[1]:
-            raise ManifestError(
-                f"entry {i}: snr {entry.snr_db} outside range {snr_range}")
+    manifest.validate()
     return manifest
 
 
@@ -369,7 +398,7 @@ def _process_entry(task) -> EntryResult:
     index, entry, global_seed, snr_range, p_noise_free, out_dir = task
     draws = sample_entry_randomness(global_seed, index, snr_range=snr_range,
                                     p_noise_free=p_noise_free)
-    entry_id = entry.entry_id or f"ex{index:05d}"
+    entry_id = entry.resolved_id(index)
     resolved_seed = entry.seed if entry.seed is not None else draws.rir_seed
     try:
         speech = read_wav(entry.speech)
@@ -417,9 +446,12 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     Writes ``<id>.input.wav``, ``<id>.target.wav``, ``<id>.gains.csv``
     and ``<id>.meta.txt`` per entry, plus ``summary.txt`` and
     ``summary.csv``. Entry failures are recorded in the summary, not
-    raised. With ``workers`` > 1 entries are processed in parallel;
-    outputs are byte-identical regardless of worker count.
+    raised. A bad entry or a repeated id is a ManifestError raised
+    before anything is written. With ``workers`` > 1 entries are
+    processed in parallel; outputs are byte-identical regardless of
+    worker count.
     """
+    manifest.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(i, entry, manifest.seed, manifest.snr_range, manifest.p_noise_free,

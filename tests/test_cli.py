@@ -262,6 +262,16 @@ class TestConfigAndEnv:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["rt60=abc", "n_early=1.5"])
+    def test_malformed_config_rejected_beside_explicit_flag(self, tmp_path, capsys, line):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "synth-rir", "--rt60", "0.5", "--n-early", "3",
+                           "--config", config, "--out", tmp_path / "x.wav")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.wav").exists()
+
     def test_config_value_outside_flag_choices_rejected(self, tmp_path, rir_file, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("strategy=magic\n")

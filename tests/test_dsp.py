@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.signal import fftconvolve
 
 from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterError,
                       SampleRateMismatchError, Signal, TooShortError, analyze,
@@ -18,6 +20,22 @@ def brute_force_convolve(x, h):
     for k, xk in enumerate(x):
         out[k:k + len(h)] += xk * h
     return out
+
+
+def float_arrays(size):
+    """Arrays in [-1, 1]; ``size`` is a length or a strategy for one."""
+    return hnp.arrays(np.float64, size,
+                      elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+def fancy_index_framing(signal, window_ms, frame_advance_ms, fft_size):
+    """The gather-based framing ``analyze`` used before strided views."""
+    win = round(signal.sample_rate * window_ms / 1000.0)
+    hop = round(signal.sample_rate * frame_advance_ms / 1000.0)
+    n_frames = 1 + (len(signal) - win) // hop
+    idx = hop * np.arange(n_frames)[:, None] + np.arange(win)
+    window = power_complementary_window(win)
+    return np.fft.rfft(signal.samples[idx] * window, n=fft_size or win, axis=1)
 
 
 class TestConvolve:
@@ -72,6 +90,59 @@ class TestConvolve:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(SampleRateMismatchError):
             convolve(Signal([1.0], FS), Rir([1.0], 44100))
+        with pytest.raises(SampleRateMismatchError):
+            convolve(Signal([1.0, 2.0], FS), [Rir([1.0, 0.5], FS), Rir([1.0, 0.5], 44100)])
+
+    @given(x=float_arrays(st.integers(1, 400)), h=float_arrays(st.integers(1, 600)),
+           extra=st.integers(-800, 50), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_shared_spectrum_matches_fftconvolve_bit_for_bit(self, x, h, extra, data):
+        h1 = data.draw(float_arrays(h.size))
+        full = x.size + h.size - 1
+        length = max(1, full + extra)
+        rows = convolve(Signal(x, FS), [Signal(h, FS), Signal(h1, FS)], length=length)
+        for row, response in zip(rows, (h, h1)):
+            assert np.array_equal(row.samples, fftconvolve(x, response)[:length])
+
+    @pytest.mark.parametrize("n_x, n_h", [(5000, 1), (1, 300), (1, 1), (50, 3000)])
+    def test_one_tap_and_long_responses_match_fftconvolve(self, n_x, n_h):
+        rng = np.random.default_rng(n_x + n_h)
+        x = rng.standard_normal(n_x)
+        responses = [rng.standard_normal(n_h) for _ in range(3)]
+        for length in (None, 1, n_x, n_x + n_h + 10):
+            rows = convolve(Signal(x, FS), [Signal(r, FS) for r in responses],
+                            length=length)
+            assert len(rows) == 3
+            for row, response in zip(rows, responses):
+                assert np.array_equal(row.samples, fftconvolve(x, response)[:length])
+
+    def test_single_response_returns_one_signal(self):
+        x = Signal(np.random.default_rng(1).standard_normal(300), FS)
+        h = Rir(np.random.default_rng(2).standard_normal(40), FS)
+        single = convolve(x, h, length=100)
+        assert isinstance(single, Signal) and len(single) == 100
+        (listed,) = convolve(x, [h], length=100)
+        assert np.array_equal(single.samples, listed.samples)
+
+    def test_direct_path_takes_a_list(self):
+        x = Signal([1.0, 2.0], FS)
+        rows = convolve(x, [Signal([1.0, 1.0], FS), Signal([0.0, 1.0], FS)],
+                        method="direct", length=2)
+        assert [list(row.samples) for row in rows] == [[1.0, 3.0], [0.0, 1.0]]
+
+    def test_mismatched_response_lengths_rejected(self):
+        x = Signal(np.ones(100), FS)
+        with pytest.raises(ParameterError, match="length"):
+            convolve(x, [Rir(np.ones(10), FS), Rir(np.ones(11), FS)])
+
+    def test_empty_response_list_rejected(self):
+        with pytest.raises(ParameterError):
+            convolve(Signal(np.ones(100), FS), [])
+
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_nonpositive_length_rejected(self, length):
+        with pytest.raises(ParameterError):
+            convolve(Signal(np.ones(100), FS), dirac_rir(FS), length=length)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
@@ -127,6 +198,16 @@ class TestMixAtSnr:
         noise = Signal(np.arange(1, 11, dtype=float), FS)
         fitted = fit_noise_length(noise, 4, offset=3)
         assert np.array_equal(fitted.samples, [4.0, 5.0, 6.0, 7.0])
+
+    @pytest.mark.parametrize("n_noise", [1, 7, 1000])
+    @pytest.mark.parametrize("offset_in_lengths", [-3.5, -1, 0, 1, 2.25, 1e6])
+    def test_fit_matches_modular_gather(self, n_noise, offset_in_lengths):
+        noise = Signal(np.random.default_rng(n_noise).standard_normal(n_noise), FS)
+        offset = int(offset_in_lengths * n_noise) + (3 if offset_in_lengths else 0)
+        for length in (1, n_noise // 2 + 1, n_noise, 3 * n_noise + 5):
+            fitted = fit_noise_length(noise, length, offset)
+            gathered = noise.samples[(offset + np.arange(length)) % n_noise]
+            assert np.array_equal(fitted.samples, gathered)
 
     def test_zero_speech_rejected(self):
         with pytest.raises(DegenerateEnergyError):
@@ -205,6 +286,16 @@ class TestAnalyzeSynthesize:
         n = min(len(signal), len(rebuilt))
         err = rebuilt.samples[:n][960:n - 960] - signal.samples[:n][960:n - 960]
         assert np.abs(err).max() < 1e-6
+
+    @pytest.mark.parametrize("window_ms, advance_ms, fft_size", [
+        (20.0, 10.0, None), (20.0, 10.0, 1024), (20.0, 10.0, 2048), (10.0, 5.0, None),
+        (10.0, 2.5, 512), (5.3, 3.1, None), (20.0, 20.0, None), (1.0, 0.5, 64)])
+    def test_framing_matches_fancy_index(self, window_ms, advance_ms, fft_size):
+        for n in (FS // 50, FS // 7 + 3, FS):
+            signal = Signal(np.random.default_rng(n).standard_normal(n), FS)
+            spectra = analyze(signal, window_ms, advance_ms, fft_size)
+            reference = fancy_index_framing(signal, window_ms, advance_ms, fft_size)
+            assert np.array_equal(spectra.frames, reference)
 
     def test_undersized_fft_rejected(self):
         with pytest.raises(ParameterError):

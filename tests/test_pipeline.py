@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import fftconvolve
 
-from rirshape import (ManifestError, ParameterError, ShapingParams, Strategy,
-                      build_dataset, estimate_rt60, generate_example, parse_manifest,
+from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Strategy,
+                      analyze, band_energies, build_dataset, estimate_rt60,
+                      generate_example, ideal_gains, mix_at_snr, parse_manifest,
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
 from rirshape.kvtext import parse_kv
@@ -65,6 +67,26 @@ class TestGenerateExample:
         # transform-domain convolution leaves only rounding dust past the support
         assert np.abs(example.target.samples[tail_start:]).max() < 1e-12 * peak
         assert np.abs(example.input.samples[tail_start:]).max() > 1e-6 * peak
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_two_fftconvolve_reference(self, speech, noise, strategy, noisy):
+        h0 = synth_rir(0.6, seed=8)
+        params = ShapingParams(strategy)
+        example = generate_example(speech, noise if noisy else None, h0, params,
+                                   7.5, seed=31)
+        out_len = len(speech) + FS // 2
+        reverberant = Signal(fftconvolve(speech.samples, h0.taps)[:out_len], FS)
+        target = fftconvolve(speech.samples, shape_rir(h0, params).taps)[:out_len]
+        if noisy:
+            offset = int(np.random.default_rng(31).integers(0, 2 ** 31))
+            reverberant, _ = mix_at_snr(reverberant, noise, 7.5, noise_offset=offset)
+        fb = example.filterbank
+        gains = ideal_gains(band_energies(analyze(Signal(target, FS)), fb),
+                            band_energies(analyze(reverberant), fb))
+        assert np.array_equal(example.input.samples, reverberant.samples)
+        assert np.array_equal(example.target.samples, target)
+        assert np.array_equal(example.gains.values, gains.values)
 
     def test_deterministic_given_seed(self, speech, noise):
         h0 = synth_rir(0.5, seed=4)
@@ -220,6 +242,36 @@ class TestManifest:
             DatasetManifest([], p_noise_free=1.5)
 
 
+UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a=b", "a\nb", "a\rb",
+              "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\u2029b",
+              "a\tb", "a\x00b", "a\x7fb", "trailing\n"]
+
+
+class TestEntryIds:
+    @pytest.mark.parametrize("entry_id", UNSAFE_IDS)
+    def test_unsafe_id_rejected(self, entry_id):
+        entry = ManifestEntry(speech="s.wav", rir_path="r.wav", entry_id=entry_id)
+        with pytest.raises(ManifestError, match="id"):
+            entry.validate()
+
+    @pytest.mark.parametrize("entry_id", ["ex00001", "room-a_take.2", "..a", "a b",
+                                          "h\u00e4ll"])
+    def test_safe_id_accepted(self, entry_id):
+        ManifestEntry(speech="s.wav", rir_path="r.wav", entry_id=entry_id).validate()
+
+    @pytest.mark.parametrize("line", ["id=../escaped", "id=a=b", "id=a/b", "id=.."])
+    def test_unsafe_id_rejected_at_parse(self, line):
+        with pytest.raises(ManifestError, match="entry 0"):
+            parse_manifest(f"[entry]\nspeech=s.wav\nrir=r.wav\n{line}\n")
+
+    def test_duplicate_ids_rejected_at_parse(self):
+        entry = "[entry]\nspeech=s.wav\nrir=r.wav\n"
+        with pytest.raises(ManifestError, match="'dup'"):
+            parse_manifest(f"{entry}id=dup\n{entry}id=dup\n")
+        with pytest.raises(ManifestError, match="'ex00001'"):
+            parse_manifest(f"{entry}id=ex00001\n{entry}")
+
+
 @pytest.fixture
 def corpus(tmp_path):
     write_wav(speech_like(0.3, seed=1), tmp_path / "sp.wav")
@@ -284,10 +336,10 @@ class TestBuildDataset:
 
     def test_summary_csv_keeps_commas_in_reasons(self, corpus):
         manifest = small_manifest(corpus)
-        manifest.entries[1].t0, manifest.entries[1].t1 = 0.05, 0.01  # fails at build
+        manifest.entries[1].speech = str(corpus / "no, such.wav")  # fails at build
         summary = build_dataset(manifest, corpus / "out")
         reason = summary.failures()[0].reason
-        assert reason.startswith("ParameterError: need t1 > t0 >= 0, got t0=")
+        assert reason.startswith("FileNotFoundError: ") and "no, such.wav" in reason
         with open(corpus / "out" / "summary.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 4
@@ -306,6 +358,32 @@ class TestBuildDataset:
         assert record["failed"] == "1"
         reason = summary.failures()[0].reason
         assert record["failure_ex00001"] == reason.replace("\n", "\\n")
+
+    def test_direct_entries_validated_before_any_write(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.entries[1].rir_synth = RirSynthSpec(rt60=9.0)
+        with pytest.raises(ManifestError, match="entry 1"):
+            build_dataset(manifest, corpus / "out")
+        assert not (corpus / "out").exists()
+
+    @pytest.mark.parametrize("ids", [("dup", "dup", None), ("ex00001", None, None),
+                                     (None, None, "ex00000")])
+    def test_duplicate_resolved_ids_rejected(self, corpus, ids):
+        manifest = small_manifest(corpus)
+        for entry, entry_id in zip(manifest.entries, ids):
+            entry.entry_id = entry_id
+        with pytest.raises(ManifestError, match="id"):
+            build_dataset(manifest, corpus / "out")
+        assert not (corpus / "out").exists()
+
+    @pytest.mark.parametrize("entry_id", UNSAFE_IDS)
+    def test_unsafe_id_writes_nothing(self, corpus, entry_id):
+        manifest = small_manifest(corpus)
+        manifest.entries[0].entry_id = entry_id
+        with pytest.raises(ManifestError):
+            build_dataset(manifest, corpus / "out")
+        assert sorted(p.name for p in corpus.iterdir()) == ["no.wav", "rir.wav",
+                                                              "rir.wav.meta.txt", "sp.wav"]
 
     def test_entries_reuse_one_cached_filterbank(self, speech):
         first = generate_example(speech, None, synth_rir(0.4, seed=1),
