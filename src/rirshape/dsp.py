@@ -10,10 +10,26 @@ the list form transforms the signal once and derives every product from
 that one spectrum, bit-identical to convolving with each response in
 turn (``scipy.signal.fftconvolve``, including its rule that a one-tap
 response or a one-sample signal is an exact scale).
+
+The first time ``convolve`` runs a transform of at least
+``RETAIN_FROM_NFFT`` (2^18) points, it tells glibc's allocator, once and
+for the whole process, to keep freed memory instead of returning it to
+the kernel: ``mallopt`` raises the mmap threshold to 32 MiB and the trim
+threshold to 64 MiB. Without it, the scratch buffers of a 10 s example's
+552,960-point transforms are mapped fresh and handed back on every
+call, which cost ~14,000 minor page faults and 16-47 ms of system
+time per example (of ~106 ms wall); with it, repeated examples reuse
+the same pages. Shorter transforms (86,400 points for 1 s of speech and a 0.8 s
+response) never turn it on: there the retained memory cost ~7 MB of
+resident set per worker process and no measurable speed. The setting
+applies on glibc only and is a silent no-op elsewhere; it changes no
+arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +46,10 @@ from .errors import (
 DEFAULT_SAMPLE_RATE = 48000
 WINDOW_MS = 20.0
 FRAME_ADVANCE_MS = 10.0
+RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory in the process
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -123,6 +143,22 @@ def power_complementary_window(length: int) -> np.ndarray:
     return np.sin(0.5 * np.pi * np.sin(np.pi * (k + 0.5) / length) ** 2)
 
 
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Make glibc keep freed blocks of up to 32 MiB for reuse (once per process)."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
     """Linearly convolve a signal with one or several impulse responses.
 
@@ -148,6 +184,8 @@ def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
     response: the same fast transform size, the signal's spectrum as the
     first product operand, and a one-tap response (or a one-sample
     signal) applied as an exact scale instead of a transform round trip.
+    A transform of ``RETAIN_FROM_NFFT`` points or more turns on the
+    process-wide allocator setting described in the module docstring.
     """
     many = isinstance(h, (list, tuple))
     responses = list(h) if many else [h]
@@ -175,6 +213,8 @@ def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
             rows = [(x.samples * t)[:n_out] for t in taps]
         else:
             nfft = sp_fft.next_fast_len(full, real=True)
+            if nfft >= RETAIN_FROM_NFFT:
+                _retain_freed_memory()
             spectrum = sp_fft.rfft(x.samples, nfft)
             products = sp_fft.rfft(np.stack(taps), nfft, axis=1)
             np.multiply(spectrum, products, out=products)

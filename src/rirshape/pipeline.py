@@ -184,7 +184,8 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     The input is speech convolved with ``h0`` plus noise scaled to
     ``snr_db``; the target is the same speech convolved with the shaped
     response. Both come from one transform of the speech (one
-    ``convolve`` call over both responses) and are truncated
+    ``convolve`` call over both responses; strategy ``none`` renders a
+    single product and uses it as both) and are truncated
     identically to the speech length plus ``TAIL_SECONDS``, so they
     stay sample-aligned. Passing no noise makes a noise-free example
     (``snr_db`` is ignored). The only randomness is the noise crop
@@ -202,9 +203,11 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         if not math.isfinite(snr_db):
             raise ParameterError(f"snr_db must be finite, got {snr_db}")
 
-    h1 = shape_rir(h0, params)
+    # strategy none shapes h0 into a bit-identical copy, so one product serves both
+    responses = [h0] if params.strategy is Strategy.NONE else [h0, shape_rir(h0, params)]
     out_len = len(speech) + int(round(TAIL_SECONDS * speech.sample_rate))
-    reverberant, target = convolve(speech, [h0, h1], length=out_len)
+    products = convolve(speech, responses, length=out_len)
+    reverberant, target = products[0], products[-1]
 
     if noise is not None:
         offset = int(np.random.default_rng(seed).integers(0, 2 ** 31))

@@ -32,11 +32,12 @@ def read_wav(path) -> Signal:
 
     fmt = None
     payload = None
+    view = memoryview(data)  # chunk bodies are views into the file's bytes, not copies
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             fmt = _parse_fmt(body, path)
         elif chunk_id == b"data":
@@ -70,7 +71,7 @@ def read_wav(path) -> Signal:
     return Signal(samples, sample_rate)
 
 
-def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
+def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
         raise WavFormatError(f"{path}: fmt chunk too small")
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
@@ -89,20 +90,19 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
     Integer encodings round to nearest and clip at full scale.
     """
     if encoding == "float32":
-        payload = signal.samples.astype("<f4").tobytes()
+        payload = signal.samples.astype("<f4")
         audio_format, bits = _FORMAT_FLOAT, 32
     elif encoding == "pcm16":
         raw = np.clip(np.round(signal.samples * 32768.0), -32768, 32767)
-        payload = raw.astype("<i2").tobytes()
+        payload = raw.astype("<i2")
         audio_format, bits = _FORMAT_PCM, 16
     elif encoding == "pcm24":
         raw = np.clip(np.round(signal.samples * 8388608.0), -(1 << 23), (1 << 23) - 1)
         raw = raw.astype(np.int32) & 0xFFFFFF
-        octets = np.empty((raw.size, 3), dtype=np.uint8)
-        octets[:, 0] = raw & 0xFF
-        octets[:, 1] = (raw >> 8) & 0xFF
-        octets[:, 2] = (raw >> 16) & 0xFF
-        payload = octets.tobytes()
+        payload = np.empty((raw.size, 3), dtype=np.uint8)
+        payload[:, 0] = raw & 0xFF
+        payload[:, 1] = (raw >> 8) & 0xFF
+        payload[:, 2] = (raw >> 16) & 0xFF
         audio_format, bits = _FORMAT_PCM, 24
     else:
         raise WavFormatError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
@@ -111,16 +111,15 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
     fmt_body = struct.pack(
         "<HHIIHH", audio_format, 1, signal.sample_rate,
         signal.sample_rate * bytes_per_sample, bytes_per_sample, bits)
-    chunks = [(b"fmt ", fmt_body)]
+    # the fmt and fact bodies have even sizes, so only the data chunk needs a pad byte
+    header = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     if audio_format == _FORMAT_FLOAT:
-        chunks.append((b"fact", struct.pack("<I", len(signal))))
-    chunks.append((b"data", payload))
-
-    out = bytearray()
-    for chunk_id, body in chunks:
-        out += chunk_id + struct.pack("<I", len(body)) + body
-        if len(body) & 1:
-            out += b"\x00"
-    header = b"RIFF" + struct.pack("<I", 4 + len(out)) + b"WAVE"
+        header += b"fact" + struct.pack("<II", 4, len(signal))
+    size = payload.nbytes
+    pad = size & 1
     with open(path, "wb") as fh:
-        fh.write(header + bytes(out))
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(header) + 8 + size + pad) + b"WAVE")
+        fh.write(header + b"data" + struct.pack("<I", size))
+        fh.write(payload)  # the array's own buffer, not a bytes copy
+        if pad:
+            fh.write(b"\x00")

@@ -1,9 +1,17 @@
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.signal import fftconvolve
 
+import rirshape
 from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterError,
                       SampleRateMismatchError, Signal, TooShortError, analyze,
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
@@ -317,3 +325,72 @@ class TestSignal:
 
     def test_duration(self):
         assert Signal(np.zeros(FS) + 0.1, FS).duration == pytest.approx(1.0)
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+HAS_MALLINFO2 = GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this rirshape; return stdout."""
+    src = str(Path(rirshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not GLIBC, reason="the allocator setting applies to glibc only")
+class TestFreedMemoryStaysInProcess:
+    def test_warm_10s_example_takes_no_page_faults(self):
+        out = run_fresh("""
+import resource
+import numpy as np
+from rirshape import ShapingParams, Signal, Strategy, synth_rir
+from rirshape.pipeline import generate_example
+rng = np.random.default_rng(0)
+speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
+noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
+h0 = synth_rir(1.0, seed=1)
+params = ShapingParams(Strategy.ATTENUATED_DECAYED)
+for seed in range(2):
+    generate_example(speech, noise, h0, params, 10.0, seed=seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+generate_example(speech, noise, h0, params, 10.0, seed=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+        assert int(out) < 300
+
+    @pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
+    def test_one_second_convolutions_leave_the_setting_off(self):
+        # With glibc's default (dynamic) threshold, which 1 s transforms keep
+        # far below 16 MiB, a 16 MiB malloc gets its own mmap; with the setting
+        # on, blocks up to 32 MiB come from the heap instead.
+        out = run_fresh("""
+import ctypes
+import numpy as np
+from rirshape import Signal, convolve, synth_rir
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes = ()
+libc.mallinfo2.restype = Mallinfo2
+libc.malloc.argtypes = (ctypes.c_size_t,)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+libc.free.restype = None
+rng = np.random.default_rng(0)
+h0 = synth_rir(0.6, seed=1)
+one_second = Signal(0.1 * rng.standard_normal(48000), 48000)
+for _ in range(3):
+    convolve(one_second, [h0, h0])
+mapped_before = libc.mallinfo2().hblks
+block = libc.malloc(16 << 20)
+print(libc.mallinfo2().hblks - mapped_before)
+libc.free(block)
+""")
+        assert int(out) == 1

@@ -50,7 +50,7 @@ class TestGenerateExample:
         h0 = synth_rir(0.4, seed=2)
         example = generate_example(speech, None, h0,
                                    ShapingParams(Strategy.NONE), None, seed=1)
-        assert np.array_equal(example.input.samples, example.target.samples)
+        assert example.input.samples.tobytes() == example.target.samples.tobytes()
         assert np.all(example.gains.values == 1.0)
         assert example.metadata["noise_free"] is True
 

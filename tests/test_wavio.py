@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -119,3 +120,15 @@ def test_sample_rate_preserved(tmp_path):
     path = tmp_path / "sr.wav"
     write_wav(Signal(np.array([0.1, 0.2]), 48000), path)
     assert read_wav(path).sample_rate == 48000
+
+
+@pytest.mark.parametrize("encoding, sha256", [
+    ("float32", "9d42daec2c20b70c262de2603fe6f24301d8a3b947d07a68a61c7688b3a76e87"),
+    ("pcm16", "4677450218d08e9bcf0537df49d8bf36620883514aae42ff33571a5809c142c1"),
+    ("pcm24", "aaf39315d6ffab549b6c4755f24dba628f09f9b124bd62162a46af58d8099211"),
+])
+def test_written_bytes_are_pinned(tmp_path, encoding, sha256):
+    # 101 samples: an odd pcm24 payload needs the pad byte; +-1.25 exercises clipping
+    path = tmp_path / f"{encoding}.wav"
+    write_wav(Signal(np.linspace(-1.25, 1.25, 101), FS), path, encoding=encoding)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
