@@ -1,12 +1,15 @@
 """Triangular filterbank on the ERB-rate scale and per-band gain math.
 
-32 band centers are spaced uniformly on the ERB-rate scale between 0 Hz
-and Nyquist; each FFT bin splits its unit weight between the two
-neighboring bands (a partition of unity), so per-band energies sum back
-to the spectrum's energy. Band gains are target/mixture energy ratios
-clamped to [0, 1], and can be interpolated back onto bins either with
-the triangular weights (production) or by band ownership (rectangular,
-which makes the gains-to-energies loop an exact identity).
+Band matrices have one row per analysis frame of ``dsp``'s fixed
+profile (``dsp.WINDOW_MS`` windows every ``dsp.FRAME_ADVANCE_MS``) and
+one column per band. ``N_BANDS`` (32) band centers are spaced uniformly
+on the ERB-rate scale between 0 Hz and Nyquist; each FFT bin splits its
+unit weight between the two neighboring bands (a partition of unity), so
+per-band energies sum back to the spectrum's energy. Band gains are
+target/mixture energy ratios clamped to [0, 1], and can be interpolated
+back onto bins either with the triangular weights (production) or by
+band ownership (rectangular, which makes the gains-to-energies loop an
+exact identity).
 
 Products against the weights go through a sparse copy of them rather
 than a dense BLAS matmul: each bin has only two nonzero weights, and a
@@ -16,14 +19,14 @@ workers contend for the cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from . import kvtext
-from .dsp import FrameSpectra
+from .dsp import FRAME_ADVANCE_MS, FrameSpectra
 from .errors import ParameterError, SampleRateMismatchError, ShapeMismatchError
 
 N_BANDS = 32
@@ -79,9 +82,8 @@ class Filterbank:
 
 
 @lru_cache(maxsize=None)
-def design_erb_filterbank(fft_size: int, sample_rate: int = 48000,
-                          n_bands: int = N_BANDS) -> Filterbank:
-    """Design the triangular ERB-scale filterbank for one FFT layout.
+def design_erb_filterbank(fft_size: int, sample_rate: int = 48000) -> Filterbank:
+    """Design the ``N_BANDS``-band triangular ERB-scale filterbank for one FFT layout.
 
     Centers run from 0 Hz to Nyquist with a constant ERB-rate step; a
     bin between two centers splits its weight linearly in ERB-rate, and
@@ -93,24 +95,22 @@ def design_erb_filterbank(fft_size: int, sample_rate: int = 48000,
         raise ParameterError(f"fft_size must be at least 64, got {fft_size}")
     if sample_rate <= 0:
         raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
-    if n_bands < 2:
-        raise ParameterError(f"need at least 2 bands, got {n_bands}")
 
     nyquist = sample_rate / 2.0
     n_bins = fft_size // 2 + 1
     freqs = np.arange(n_bins) * sample_rate / fft_size
-    center_rates = np.linspace(0.0, float(erb_rate(nyquist)), n_bands)
+    center_rates = np.linspace(0.0, float(erb_rate(nyquist)), N_BANDS)
     centers = erb_rate_to_hz(center_rates)
     centers[0] = 0.0
     centers[-1] = nyquist
 
     bin_rates = erb_rate(freqs)
     segment = np.clip(np.searchsorted(center_rates, bin_rates, side="right") - 1,
-                      0, n_bands - 2)
+                      0, N_BANDS - 2)
     width = center_rates[segment + 1] - center_rates[segment]
     fraction = np.clip((bin_rates - center_rates[segment]) / width, 0.0, 1.0)
 
-    weights = np.zeros((n_bands, n_bins))
+    weights = np.zeros((N_BANDS, n_bins))
     cols = np.arange(n_bins)
     weights[segment, cols] = 1.0 - fraction
     weights[segment + 1, cols] += fraction
@@ -209,20 +209,18 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix, fb: Filterbank,
         per_bin = fb.sparse_weights.T.dot(gains.values.T).T
     else:
         per_bin = gains.values[:, fb.bin_owners()]
-    return FrameSpectra(noisy_spectra.frames * per_bin, noisy_spectra.sample_rate,
-                        noisy_spectra.fft_size, noisy_spectra.frame_advance_ms,
-                        noisy_spectra.window_ms)
+    return replace(noisy_spectra, frames=noisy_spectra.frames * per_bin)
 
 
 # --- serialization -----------------------------------------------------------
 
-def write_band_matrix_csv(matrix: BandMatrix, path, fb: Filterbank | None = None) -> None:
-    """CSV with one row per frame, 9 significant digits, centers in the header."""
-    if fb is not None and fb.n_bands != matrix.n_bands:
+def write_band_matrix_csv(matrix: BandMatrix, path, fb: Filterbank) -> None:
+    """CSV with one row per frame, 9 significant digits, ``fb``'s centers in the header."""
+    if fb.n_bands != matrix.n_bands:
         raise ShapeMismatchError(f"{matrix.n_bands} columns vs {fb.n_bands} band centers")
-    centers = fb.band_centers if fb is not None else np.zeros(matrix.n_bands)
     row_format = ",".join(["%.9g"] * matrix.n_bands)
-    lines = ["# role=%s band_centers_hz=%s" % (matrix.role, row_format % tuple(centers.tolist()))]
+    lines = ["# role=%s band_centers_hz=%s"
+             % (matrix.role, row_format % tuple(fb.band_centers.tolist()))]
     lines += [row_format % tuple(row) for row in matrix.values.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -242,16 +240,18 @@ def read_band_matrix_csv(path) -> tuple[BandMatrix, np.ndarray]:
     return BandMatrix(values, fields.get("role", "energy")), centers
 
 
-def write_band_matrix_raw(matrix: BandMatrix, path, sample_rate: int,
-                          frame_advance_ms: float) -> None:
-    """Raw little-endian float32 dump plus a key=value layout sidecar."""
+def write_band_matrix_raw(matrix: BandMatrix, path, sample_rate: int) -> None:
+    """Raw little-endian float32 dump plus a key=value layout sidecar.
+
+    The sidecar records the frame advance of ``dsp``'s fixed profile.
+    """
     matrix.values.astype("<f4").tofile(path)
     kvtext.save_kv({
         "frames": matrix.n_frames,
         "bands": matrix.n_bands,
         "role": matrix.role,
         "sample_rate": sample_rate,
-        "frame_advance_ms": frame_advance_ms,
+        "frame_advance_ms": FRAME_ADVANCE_MS,
         "dtype": "float32le",
     }, f"{path}.meta.txt")
 

@@ -122,18 +122,11 @@ def cmd_gains(args) -> int:
     _require(args, "input", "target")
     noisy = wavio.read_wav(args.input)
     target = wavio.read_wav(args.target)
-    if len(noisy) != len(target):
-        raise ParameterError("input and target must be equally long")
-    noisy_spectra = dsp.analyze(noisy)
-    target_spectra = dsp.analyze(target)
-    fb = bands.design_erb_filterbank(noisy_spectra.fft_size, noisy.sample_rate)
-    gains = bands.ideal_gains(bands.band_energies(target_spectra, fb),
-                              bands.band_energies(noisy_spectra, fb))
+    gains, fb, noisy_spectra = pipeline.pair_gains(noisy, target)
     suffix = ".gains.f32" if args.binary else ".gains.csv"
     out = _out_path(args.out, Path(args.input).stem + suffix)
     if args.binary:
-        bands.write_band_matrix_raw(gains, out, noisy.sample_rate,
-                                    noisy_spectra.frame_advance_ms)
+        bands.write_band_matrix_raw(gains, out, noisy.sample_rate)
     else:
         bands.write_band_matrix_csv(gains, out, fb)
     print(f"wrote {out}")

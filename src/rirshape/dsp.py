@@ -1,9 +1,11 @@
 """Waveform container and foundational signal operations.
 
 Linear convolution, SNR-controlled mixing, and a 50%-overlap
-analysis/synthesis transform pair (20 ms windows, 10 ms hop at 48 kHz).
-Every operation is a pure function over immutable inputs and is safe to
-call concurrently.
+analysis/synthesis transform pair. The analysis profile is fixed:
+``WINDOW_MS`` (20 ms) windows advanced by ``FRAME_ADVANCE_MS`` (10 ms),
+at the signal's own sample rate, with an FFT as long as the window
+(960/480 samples and 481 bins at 48 kHz). Every operation is a pure
+function over immutable inputs and is safe to call concurrently.
 
 ``convolve`` takes one impulse response or a list of equal-length ones;
 the list form transforms the signal once and derives every product from
@@ -89,20 +91,28 @@ class Signal:
         return float(np.mean(self.samples ** 2))
 
 
+def _frame_lengths(sample_rate: int) -> tuple[int, int]:
+    """Window and hop of the fixed analysis profile, in samples."""
+    win = round(sample_rate * WINDOW_MS / 1000.0)
+    hop = round(sample_rate * FRAME_ADVANCE_MS / 1000.0)
+    if win < 2 or hop < 1:
+        raise ParameterError(f"window/advance too small for {sample_rate} Hz")
+    return win, hop
+
+
 @dataclass(frozen=True)
 class FrameSpectra:
     """One-sided complex spectra of overlapping analysis frames.
 
-    ``frames`` has shape (n_frames, fft_size // 2 + 1). The default
-    profile is 20 ms windows advanced by 10 ms (960/480 samples at
-    48 kHz) with fft_size equal to the window length.
+    ``frames`` has shape (n_frames, fft_size // 2 + 1). Window and hop
+    follow the module's fixed profile at ``sample_rate``; ``analyze``
+    sets fft_size to the window length, and a longer fft_size describes
+    zero-padded frames.
     """
 
     frames: np.ndarray
     sample_rate: int
     fft_size: int
-    frame_advance_ms: float = FRAME_ADVANCE_MS
-    window_ms: float = WINDOW_MS
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
@@ -125,11 +135,11 @@ class FrameSpectra:
 
     @property
     def window_samples(self) -> int:
-        return round(self.sample_rate * self.window_ms / 1000.0)
+        return _frame_lengths(self.sample_rate)[0]
 
     @property
     def hop_samples(self) -> int:
-        return round(self.sample_rate * self.frame_advance_ms / 1000.0)
+        return _frame_lengths(self.sample_rate)[1]
 
 
 def power_complementary_window(length: int) -> np.ndarray:
@@ -273,30 +283,21 @@ def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
     return mixture, noise_gain
 
 
-def analyze(signal: Signal, window_ms: float = WINDOW_MS,
-            frame_advance_ms: float = FRAME_ADVANCE_MS,
-            fft_size: int | None = None) -> FrameSpectra:
+def analyze(signal: Signal) -> FrameSpectra:
     """Split a signal into 50%-overlapped windowed frames and transform.
 
-    Frames shorter than one full window at the tail are dropped. With
-    the default profile a 1 s signal at 48 kHz yields 99 frames.
+    Uses the module's fixed profile (20 ms windows, 10 ms advance, FFT
+    size equal to the window). Frames shorter than one full window at
+    the tail are dropped: a 1 s signal at 48 kHz yields 99 frames.
     """
-    win = round(signal.sample_rate * window_ms / 1000.0)
-    hop = round(signal.sample_rate * frame_advance_ms / 1000.0)
-    if win < 2 or hop < 1:
-        raise ParameterError("window/advance too small for this sample rate")
-    if fft_size is None:
-        fft_size = win
-    if fft_size < win:
-        raise ParameterError("fft_size must be at least the window length")
+    win, hop = _frame_lengths(signal.sample_rate)
     if len(signal) < win:
         raise TooShortError(f"signal of {len(signal)} samples shorter than one "
                             f"{win}-sample window")
     window = power_complementary_window(win)
     framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
-    frames = np.fft.rfft(framed * window, n=fft_size, axis=1)
-    return FrameSpectra(frames, signal.sample_rate, fft_size,
-                        frame_advance_ms, window_ms)
+    frames = np.fft.rfft(framed * window, n=win, axis=1)
+    return FrameSpectra(frames, signal.sample_rate, win)
 
 
 def synthesize(spectra: FrameSpectra) -> Signal:
@@ -311,7 +312,14 @@ def synthesize(spectra: FrameSpectra) -> Signal:
     window = power_complementary_window(win)
     frames_t = np.fft.irfft(spectra.frames, n=spectra.fft_size, axis=1)[:, :win]
     frames_t = frames_t * window
-    out = np.zeros((spectra.n_frames - 1) * hop + win)
-    for i in range(spectra.n_frames):
-        out[i * hop:i * hop + win] += frames_t[i]
-    return Signal(out, spectra.sample_rate)
+    # frames `groups` apart do not overlap, so every `groups`-th frame is
+    # added in one go, as rows `stride` samples apart; `out` has room for
+    # each group's last full row and is trimmed on return
+    groups = -(-win // hop)
+    stride = groups * hop
+    out = np.zeros((spectra.n_frames + 2 * groups) * hop)
+    for g in range(groups):
+        part = frames_t[g::groups]
+        rows = out[g * hop:g * hop + part.shape[0] * stride].reshape(-1, stride)
+        rows[:, :win] += part
+    return Signal(out[:(spectra.n_frames - 1) * hop + win], spectra.sample_rate)

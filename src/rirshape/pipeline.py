@@ -25,7 +25,7 @@ from . import kvtext
 from .acoustics import estimate_rt60
 from .bands import (BandMatrix, Filterbank, band_energies, design_erb_filterbank,
                     ideal_gains, write_band_matrix_csv)
-from .dsp import DEFAULT_SAMPLE_RATE, Signal, analyze, convolve, mix_at_snr
+from .dsp import DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, analyze, convolve, mix_at_snr
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      SampleRateMismatchError, UndefinedDecayError)
 from .shaping import (DEFAULT_N_EARLY, Rir, ShapingParams, Strategy, check_synth_args,
@@ -35,6 +35,7 @@ from .wavio import read_wav, write_wav
 DEFAULT_SNR_RANGE = (-5.0, 45.0)
 DEFAULT_P_NOISE_FREE = 0.05
 TAIL_SECONDS = 0.5  # reverberant tail kept past the end of the speech
+RT60_BIN_WIDTH = 0.2  # seconds per bucket of the summary's RT60 histogram
 
 
 @dataclass
@@ -215,11 +216,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     else:
         mixture, noise_gain = reverberant, 0.0
 
-    input_spectra = analyze(mixture)
-    target_spectra = analyze(target)
-    fb = design_erb_filterbank(input_spectra.fft_size, speech.sample_rate)
-    gains = ideal_gains(band_energies(target_spectra, fb),
-                        band_energies(input_spectra, fb))
+    gains, fb, _ = pair_gains(mixture, target)
 
     try:
         rt60_input = estimate_rt60(h0)
@@ -242,6 +239,26 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         "sample_rate": speech.sample_rate,
     }
     return Example(mixture, target, gains, metadata, fb)
+
+
+def pair_gains(input: Signal,
+               target: Signal) -> tuple[BandMatrix, Filterbank, FrameSpectra]:
+    """Ideal band gains that turn ``input``'s band energies into ``target``'s.
+
+    Returns the gains, the filterbank they were computed with (designed
+    for the input's spectra) and the input's frame spectra, for callers
+    that apply the gains. The two signals must be equally long. A
+    signal passed as both input and target, as in a noise-free
+    strategy-``none`` example, is analyzed once.
+    """
+    if len(input) != len(target):
+        raise ParameterError("input and target must be equally long")
+    input_spectra = analyze(input)
+    fb = design_erb_filterbank(input_spectra.fft_size, input_spectra.sample_rate)
+    input_energies = band_energies(input_spectra, fb)
+    target_energies = (input_energies if target is input
+                       else band_energies(analyze(target), fb))
+    return ideal_gains(target_energies, input_energies), fb, input_spectra
 
 
 # --- manifest text format ----------------------------------------------------
@@ -365,14 +382,14 @@ class DatasetSummary:
     def failures(self) -> list[EntryResult]:
         return [r for r in self.results if not r.ok]
 
-    def rt60_histogram(self, bin_width: float = 0.2) -> dict[str, int]:
-        """Counts of estimated input-room RT60 per ``bin_width``-second bucket."""
+    def rt60_histogram(self) -> dict[str, int]:
+        """Counts of estimated input-room RT60 per ``RT60_BIN_WIDTH``-second bucket."""
         histogram: dict[str, int] = {}
         for result in self.results:
             if result.rt60_estimate is None:
                 continue
-            lo = math.floor(result.rt60_estimate / bin_width) * bin_width
-            label = f"{lo:.1f}-{lo + bin_width:.1f}"
+            lo = math.floor(result.rt60_estimate / RT60_BIN_WIDTH) * RT60_BIN_WIDTH
+            label = f"{lo:.1f}-{lo + RT60_BIN_WIDTH:.1f}"
             histogram[label] = histogram.get(label, 0) + 1
         return dict(sorted(histogram.items()))
 

@@ -58,10 +58,11 @@ def read_wav(path) -> Signal:
     elif audio_format == _FORMAT_PCM and bits == 24:
         if len(payload) % 3:
             raise WavFormatError(f"{path}: 24-bit data size not a multiple of 3")
-        octets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        raw = octets[:, 0] | (octets[:, 1] << 8) | (octets[:, 2] << 16)
-        raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw)
-        samples = raw.astype(np.float64) / 8388608.0
+        # each sample fills the top three bytes of a little-endian int32
+        # word; the arithmetic shift right by 8 then sign-extends it
+        words = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        samples = (words.view("<i4")[:, 0] >> 8) / 8388608.0
     elif audio_format == _FORMAT_FLOAT and bits == 32:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:

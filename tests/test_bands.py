@@ -82,19 +82,18 @@ class TestBandEnergies:
         assert np.count_nonzero(energies.values[0]) <= 2
 
     @pytest.mark.parametrize("sample_rate", [16000, 48000])
-    @pytest.mark.parametrize("fft_size", [64, 960, 1024, 2048])
+    @pytest.mark.parametrize("fft_size", [960, 1024, 2048])
     def test_matches_dense_reference(self, fft_size, sample_rate):
         bank = design_erb_filterbank(fft_size, sample_rate)
         rng = np.random.default_rng(fft_size + sample_rate)
         shape = (37, fft_size // 2 + 1)
         frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        spectra = FrameSpectra(frames, sample_rate, fft_size, frame_advance_ms=0.5,
-                               window_ms=1.0)
+        spectra = FrameSpectra(frames, sample_rate, fft_size)
         dense = np.sqrt(np.abs(frames) ** 2 @ bank.weights.T)
         assert np.allclose(band_energies(spectra, bank).values, dense, rtol=1e-12, atol=0.0)
 
     def test_fft_mismatch_rejected(self, fb):
-        spectra = analyze(speech_like(0.1), fft_size=1024)
+        spectra = FrameSpectra(np.zeros((9, 513), dtype=complex), FS, 1024)
         with pytest.raises(ShapeMismatchError):
             band_energies(spectra, fb)
 
@@ -273,8 +272,9 @@ class TestSerialization:
         values = np.random.default_rng(2).uniform(0.0, 1.0, (5, 32))
         matrix = BandMatrix(values, "gain")
         path = tmp_path / "g.f32"
-        write_band_matrix_raw(matrix, path, FS, 10.0)
+        write_band_matrix_raw(matrix, path, FS)
         back, meta = read_band_matrix_raw(path)
         assert np.allclose(back.values, values, rtol=1e-6)
         assert meta["sample_rate"] == str(FS)
+        assert meta["frame_advance_ms"] == "10"
         assert int(meta["frames"]) == 5 and int(meta["bands"]) == 32

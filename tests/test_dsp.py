@@ -36,14 +36,30 @@ def float_arrays(size):
                       elements=st.floats(-1.0, 1.0, allow_subnormal=False))
 
 
-def fancy_index_framing(signal, window_ms, frame_advance_ms, fft_size):
-    """The gather-based framing ``analyze`` used before strided views."""
-    win = round(signal.sample_rate * window_ms / 1000.0)
-    hop = round(signal.sample_rate * frame_advance_ms / 1000.0)
+def fancy_index_framing(signal, fft_size=None):
+    """The gather-based framing ``analyze`` used before strided views.
+
+    20 ms windows advanced by 10 ms, zero-padded to ``fft_size`` when given.
+    """
+    win = round(signal.sample_rate * 0.020)
+    hop = round(signal.sample_rate * 0.010)
     n_frames = 1 + (len(signal) - win) // hop
     idx = hop * np.arange(n_frames)[:, None] + np.arange(win)
     window = power_complementary_window(win)
     return np.fft.rfft(signal.samples[idx] * window, n=fft_size or win, axis=1)
+
+
+def loop_overlap_add(spectra):
+    """The frame-by-frame overlap-add ``synthesize`` used before strided groups."""
+    win = spectra.window_samples
+    hop = spectra.hop_samples
+    window = power_complementary_window(win)
+    frames_t = np.fft.irfft(spectra.frames, n=spectra.fft_size, axis=1)[:, :win]
+    frames_t = frames_t * window
+    out = np.zeros((spectra.n_frames - 1) * hop + win)
+    for i in range(spectra.n_frames):
+        out[i * hop:i * hop + win] += frames_t[i]
+    return out
 
 
 class TestConvolve:
@@ -288,26 +304,46 @@ class TestAnalyzeSynthesize:
 
     def test_zero_padded_fft_round_trips(self):
         signal = Signal(np.random.default_rng(4).standard_normal(FS // 4), FS)
-        spectra = analyze(signal, fft_size=1024)
-        assert spectra.fft_size == 1024 and spectra.n_bins == 513
+        spectra = FrameSpectra(fancy_index_framing(signal, 1024), FS, 1024)
+        assert spectra.n_bins == 513
         rebuilt = synthesize(spectra)
         n = min(len(signal), len(rebuilt))
         err = rebuilt.samples[:n][960:n - 960] - signal.samples[:n][960:n - 960]
         assert np.abs(err).max() < 1e-6
 
-    @pytest.mark.parametrize("window_ms, advance_ms, fft_size", [
-        (20.0, 10.0, None), (20.0, 10.0, 1024), (20.0, 10.0, 2048), (10.0, 5.0, None),
-        (10.0, 2.5, 512), (5.3, 3.1, None), (20.0, 20.0, None), (1.0, 0.5, 64)])
-    def test_framing_matches_fancy_index(self, window_ms, advance_ms, fft_size):
-        for n in (FS // 50, FS // 7 + 3, FS):
+    def test_framing_matches_fancy_index(self):
+        for n in (FS // 50, FS // 50 + 479, FS // 50 + 480, FS // 7 + 3, FS):
             signal = Signal(np.random.default_rng(n).standard_normal(n), FS)
-            spectra = analyze(signal, window_ms, advance_ms, fft_size)
-            reference = fancy_index_framing(signal, window_ms, advance_ms, fft_size)
-            assert np.array_equal(spectra.frames, reference)
+            assert np.array_equal(analyze(signal).frames, fancy_index_framing(signal))
+
+    def test_rate_too_low_for_profile_rejected(self):
+        # at 40 Hz the 10 ms hop rounds to zero samples
+        with pytest.raises(ParameterError):
+            analyze(Signal(np.ones(100), 40))
+        with pytest.raises(ParameterError):
+            FrameSpectra(np.zeros((2, 2), dtype=complex), 40, 2)
 
     def test_undersized_fft_rejected(self):
-        with pytest.raises(ParameterError):
-            analyze(Signal(np.ones(FS // 10), FS), fft_size=512)
+        with pytest.raises(MalformedSpectraError):
+            FrameSpectra(np.zeros((3, 257), dtype=complex), FS, 512)
+
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, FS])
+    def test_grouped_overlap_add_equals_frame_loop(self, sample_rate):
+        # the hop is exactly half the window: each sample sums two frames
+        for n in (sample_rate // 50, sample_rate // 50 + 1, sample_rate // 7 + 3,
+                  sample_rate):
+            rng = np.random.default_rng(n)
+            spectra = analyze(Signal(rng.standard_normal(n), sample_rate))
+            assert np.array_equal(synthesize(spectra).samples, loop_overlap_add(spectra))
+
+    def test_grouped_overlap_add_within_round_trip_tolerance(self):
+        # at 22,050 Hz the hop (220) is not half the window (441), so up to
+        # three frames overlap and the sums may round in another order
+        for n in (441, 22050 // 7 + 3, 22050):
+            spectra = analyze(Signal(np.random.default_rng(n).standard_normal(n), 22050))
+            reference = loop_overlap_add(spectra)
+            err = synthesize(spectra).samples - reference
+            assert np.sqrt(np.mean(err ** 2)) / np.sqrt(np.mean(reference ** 2)) < 1e-6
 
 
 class TestSignal:

@@ -11,6 +11,7 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       generate_example, ideal_gains, mix_at_snr, parse_manifest,
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
+from rirshape import pipeline
 from rirshape.kvtext import parse_kv
 from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest
 from conftest import noise_like, speech_like
@@ -53,6 +54,26 @@ class TestGenerateExample:
         assert example.input.samples.tobytes() == example.target.samples.tobytes()
         assert np.all(example.gains.values == 1.0)
         assert example.metadata["noise_free"] is True
+
+    def test_noise_free_none_example_analyzed_once(self, speech, monkeypatch):
+        # input and target are one Signal here, so one analysis serves both
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counted("analyze", analyze)
+        counted("band_energies", band_energies)
+        example = generate_example(speech, None, synth_rir(0.4, seed=2),
+                                   ShapingParams(Strategy.NONE), None, seed=1)
+        assert calls == ["analyze", "band_energies"]
+        fb = example.filterbank
+        reference = ideal_gains(band_energies(analyze(example.target), fb),
+                                band_energies(analyze(example.input), fb))
+        assert np.array_equal(example.gains.values, reference.values)
 
     def test_full_dereverb_target_is_dry(self, speech):
         h0 = synth_rir(0.8, seed=3)

@@ -46,6 +46,25 @@ def test_pcm24_read_write_bit_exact(tmp_path):
     assert np.array_equal(decoded, ints)
 
 
+def widening_pcm24_decode(payload):
+    """The column-widening decoder ``read_wav`` used before whole int32 words."""
+    octets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+    raw = octets[:, 0] | (octets[:, 1] << 8) | (octets[:, 2] << 16)
+    raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw)
+    return raw.astype(np.float64) / 8388608.0
+
+
+@pytest.mark.parametrize("n_random", [0, 1, 1000, 1001])
+def test_pcm24_decode_matches_widening_reference(tmp_path, n_random):
+    extremes = [-(1 << 23), -1, 0, 1, (1 << 23) - 1]
+    ints = np.concatenate([extremes, np.random.default_rng(n_random).integers(
+        -(1 << 23), 1 << 23, size=n_random)])
+    path = tmp_path / "p24.wav"
+    write_wav(Signal(ints / 8388608.0, FS), path, encoding="pcm24")
+    payload = path.read_bytes()[44:44 + 3 * ints.size]
+    assert np.array_equal(read_wav(path).samples, widening_pcm24_decode(payload))
+
+
 def test_pcm_write_clips_overrange(tmp_path):
     signal = Signal(np.array([1.5, -1.5, 1.0, -1.0]), FS)
     path = tmp_path / "clip.wav"
