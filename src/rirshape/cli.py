@@ -118,10 +118,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a missing file is reported by the read that follows
+        return False
+
+
 def cmd_gains(args) -> int:
     _require(args, "input", "target")
     noisy = wavio.read_wav(args.input)
-    target = wavio.read_wav(args.target)
+    # one file named twice is read once, so pair_gains analyzes it once
+    target = noisy if _same_file(args.input, args.target) else wavio.read_wav(args.target)
     gains, fb, noisy_spectra = pipeline.pair_gains(noisy, target)
     suffix = ".gains.f32" if args.binary else ".gains.csv"
     out = _out_path(args.out, Path(args.input).stem + suffix)

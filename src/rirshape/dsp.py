@@ -25,13 +25,39 @@ the same pages. Shorter transforms (86,400 points for 1 s of speech and a 0.8 s
 response) never turn it on: there the retained memory cost ~7 MB of
 resident set per worker process and no measurable speed. The setting
 applies on glibc only and is a silent no-op elsewhere; it changes no
-arithmetic.
+arithmetic. The same call sets glibc's arena limit to one, so a helper
+thread (below) allocates from the main heap instead of growing an arena
+of its own: a loop of 40 10 s examples on two threads peaked at 132 MB
+resident without the limit and at 126 MB with it (114 MB on one thread).
+
+The same size rule lets a long ``convolve`` run its two forward
+transforms, the signal's and the stacked responses', side by side: the
+caller's thread and one fresh helper each take the transform the other
+has not taken, so a helper that gets no core soon leaves both to the
+caller. The inverse transforms stay on the caller's thread: split per
+response over two threads they saved ~2 ms of a ~70 ms 10 s example
+when a core was free and lost more than that otherwise.
+A helper starts only if another core is free: the cores this process may
+use are its affinity mask (``os.sched_getaffinity``) capped by its
+cgroup's CPU quota, and one counts as held while the machine's count of
+runnable tasks (``/proc/loadavg``) shows another task at this long
+transform and at the one before. A busy process beside the caller, or a
+second ``build_dataset`` pool worker, thus keeps a 10 s example on one
+thread, where a helper made it slower, not faster. Shorter transforms,
+such as those of 1 s entries, start no thread, and ``analyze`` runs on
+the caller's thread. No option or variable sets the count. The helper
+runs only ``scipy.fft`` and numpy and is joined before the call returns,
+so no thread is alive across a ``fork``; each transform is computed
+exactly as on one thread, so results are bit-identical either way.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import os
 import platform
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +74,14 @@ from .errors import (
 DEFAULT_SAMPLE_RATE = 48000
 WINDOW_MS = 20.0
 FRAME_ADVANCE_MS = 10.0
-RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory in the process
+RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory and may use a thread
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_runnable_before = 1  # runnable tasks seen at the previous long transform (none but this one)
 
 
 @dataclass(frozen=True)
@@ -155,7 +185,7 @@ def power_complementary_window(length: int) -> np.ndarray:
 
 @functools.cache
 def _retain_freed_memory() -> None:
-    """Make glibc keep freed blocks of up to 32 MiB for reuse (once per process)."""
+    """Make glibc keep freed blocks of up to 32 MiB for reuse, in one arena (once per process)."""
     if platform.libc_ver()[0] != "glibc":
         return
     import ctypes
@@ -167,6 +197,118 @@ def _retain_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity, capped by a cgroup CPU quota."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    quota = _cgroup_cpu_quota(_CGROUP_ROOT)
+    return cores if quota is None else max(1, min(cores, int(quota)))
+
+
+@functools.cache
+def _cgroup_cpu_quota(root: str) -> float | None:
+    """CPUs per period allowed by the cgroup mounted at ``root``, or None if unlimited.
+
+    Reads cgroup v2 ``cpu.max`` ("max 100000" or "150000 100000"), else
+    cgroup v1 ``cpu/cpu.cfs_quota_us`` (-1 when unlimited) over
+    ``cpu/cpu.cfs_period_us``. A missing or unreadable file means no quota.
+    """
+    def read(name):
+        try:
+            with open(os.path.join(root, name), encoding="ascii") as fh:
+                return fh.read().split()
+        except (OSError, UnicodeDecodeError):
+            return None
+
+    fields = read("cpu.max")
+    if fields is None:
+        quota, period = read("cpu/cpu.cfs_quota_us"), read("cpu/cpu.cfs_period_us")
+        fields = quota + period if quota and period else None
+    try:
+        quota, period = fields
+        return int(quota) / int(period) if int(quota) > 0 and int(period) > 0 else None
+    except (TypeError, ValueError):  # "max", no file or an unexpected layout
+        return None
+
+
+def _runnable_tasks() -> int:
+    """Threads running or waiting for a core on this machine now, the caller included.
+
+    The fourth field of ``/proc/loadavg`` ("1/84" gives 1). Where that
+    cannot be read the cores count as busy, so no helper thread starts.
+    """
+    try:
+        with open("/proc/loadavg", encoding="ascii") as fh:
+            return int(fh.read().split()[3].split("/")[0])
+    except (OSError, ValueError, IndexError):
+        return 1 << 20
+
+
+def _free_cores() -> int:
+    """The caller's core plus every other usable core that no other task holds.
+
+    Other tasks are counted at this long transform and at the one before
+    it in this process, and the smaller count is taken: a task seen once,
+    such as a short-lived system process, holds no core; one that stays,
+    such as another busy process, holds one from the second transform on.
+    """
+    global _runnable_before
+    now = _runnable_tasks()
+    runnable, _runnable_before = min(now, _runnable_before), now
+    cores = _usable_cores()
+    return max(1, min(cores, cores + 1 - runnable))
+
+
+def _transform_threads(points: int) -> int:
+    """Threads for a transform of ``points`` points (1 below ``RETAIN_FROM_NFFT``).
+
+    A long transform first turns on the process-wide allocator setting,
+    so its helper threads allocate from the main arena.
+    """
+    if points < RETAIN_FROM_NFFT:
+        return 1
+    _retain_freed_memory()
+    return _free_cores()
+
+
+def _run_split(calls, threads: int) -> list:
+    """Run zero-argument callables on up to ``threads`` threads; return their results.
+
+    The caller's thread and ``threads - 1`` fresh helpers each take the
+    next call not yet taken until none is left, so the caller runs every
+    call a slow helper does not reach. Helpers are joined before this
+    returns; with one thread every call runs in turn on the caller's
+    thread. An exception in any call is raised here after the join.
+    """
+    results = [None] * len(calls)
+    pending = collections.deque(range(len(calls)))  # popleft is thread-safe
+    errors = []
+
+    def run() -> None:
+        try:
+            while pending:
+                try:
+                    i = pending.popleft()
+                except IndexError:  # another thread took the last call
+                    return
+                results[i] = calls[i]()
+        except BaseException as exc:  # re-raised on the caller's thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(calls)) - 1)]
+    for helper in helpers:
+        helper.start()
+    run()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
@@ -195,7 +337,8 @@ def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
     first product operand, and a one-tap response (or a one-sample
     signal) applied as an exact scale instead of a transform round trip.
     A transform of ``RETAIN_FROM_NFFT`` points or more turns on the
-    process-wide allocator setting described in the module docstring.
+    process-wide allocator setting and may run its forward transforms on
+    two threads, both described in the module docstring.
     """
     many = isinstance(h, (list, tuple))
     responses = list(h) if many else [h]
@@ -223,10 +366,10 @@ def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
             rows = [(x.samples * t)[:n_out] for t in taps]
         else:
             nfft = sp_fft.next_fast_len(full, real=True)
-            if nfft >= RETAIN_FROM_NFFT:
-                _retain_freed_memory()
-            spectrum = sp_fft.rfft(x.samples, nfft)
-            products = sp_fft.rfft(np.stack(taps), nfft, axis=1)
+            spectrum, products = _run_split(
+                [lambda: sp_fft.rfft(x.samples, nfft),
+                 lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)],
+                _transform_threads(nfft))
             np.multiply(spectrum, products, out=products)
             rows = sp_fft.irfft(products, nfft, axis=1, overwrite_x=True)[:, :n_out]
     elif method == "direct":

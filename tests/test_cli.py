@@ -150,6 +150,31 @@ class TestGainsCommand:
         assert np.all(matrix.values == 1.0)  # identical input/target
         assert meta["frame_advance_ms"] == "10"
 
+    def test_one_file_named_twice_is_analyzed_once(self, tmp_path, capsys, monkeypatch):
+        from rirshape import pipeline
+        calls = []
+
+        def counted(name):
+            fn = getattr(pipeline, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counted("analyze")
+        counted("band_energies")
+        (tmp_path / "sub").mkdir()
+        wav = tmp_path / "s.wav"
+        write_wav(speech_like(0.2, seed=4), wav)
+        code, _, _ = run(capsys, "gains", "--input", wav,
+                         "--target", tmp_path / "sub" / ".." / "s.wav",
+                         "--out", tmp_path / "g.csv")
+        assert code == 0
+        assert calls == ["analyze", "band_energies"]
+        matrix, _ = read_band_matrix_csv(tmp_path / "g.csv")
+        assert np.all(matrix.values == 1.0)
+
     def test_length_mismatch_rejected(self, tmp_path, capsys):
         write_wav(speech_like(0.2), tmp_path / "a.wav")
         write_wav(speech_like(0.3), tmp_path / "b.wav")

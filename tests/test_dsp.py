@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterErr
                       SampleRateMismatchError, Signal, TooShortError, analyze,
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
                       synthesize)
-from rirshape.dsp import FrameSpectra, fit_noise_length
+from rirshape import dsp
+from rirshape.dsp import RETAIN_FROM_NFFT, FrameSpectra, fit_noise_length
 from rirshape.shaping import Rir
 
 FS = 48000
@@ -346,6 +348,123 @@ class TestAnalyzeSynthesize:
             assert np.sqrt(np.mean(err ** 2)) / np.sqrt(np.mean(reference ** 2)) < 1e-6
 
 
+class CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the free cores ``dsp`` sees; count the helper threads it starts."""
+    monkeypatch.setattr(CountingThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+
+    def set_cores(n):
+        monkeypatch.setattr(dsp, "_free_cores", lambda: n)
+    return set_cores
+
+
+class TestThreadedTransforms:
+    """Long transforms split over threads give the single-thread bytes."""
+
+    # 200,000 + 62,145 - 1 = 2^18 output samples: the smallest threaded transform
+    N_X, N_H = 200_000, 62_145
+
+    @pytest.mark.parametrize("n_responses", [1, 2, 3])
+    @pytest.mark.parametrize("length", [None, 150_001])
+    def test_convolve_same_bytes_on_one_two_and_three_threads(self, cores, n_responses,
+                                                              length):
+        rng = np.random.default_rng(n_responses)
+        x = Signal(rng.standard_normal(self.N_X), FS)
+        responses = [Rir(rng.standard_normal(self.N_H), FS) for _ in range(n_responses)]
+        by_threads = {}
+        for n in (1, 2, 3):
+            cores(n)
+            by_threads[n] = [row.samples.tobytes()
+                             for row in convolve(x, responses, length=length)]
+        assert by_threads[1] == by_threads[2] == by_threads[3]
+        assert CountingThread.started > 0
+        for row, response in zip(by_threads[1], responses):
+            expected = fftconvolve(x.samples, response.taps)[:length]
+            assert row == expected.tobytes()
+
+    def test_short_transforms_and_analyze_start_no_thread(self, cores):
+        cores(2)
+        x = Signal(np.random.default_rng(1).standard_normal(FS), FS)
+        convolve(x, [Rir(np.ones(100), FS), Rir(np.arange(100.0), FS)])
+        analyze(Signal(np.random.default_rng(2).standard_normal(10 * FS), FS))
+        assert CountingThread.started == 0
+
+    def test_thread_count_is_the_free_cores(self, monkeypatch):
+        monkeypatch.setattr(dsp, "_free_cores", lambda: 3)
+        assert dsp._transform_threads(RETAIN_FROM_NFFT - 1) == 1
+        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
+
+    @pytest.mark.parametrize("usable, before, now, free", [
+        (4, 1, 1, 4),  # only the caller runs: every core is free
+        (4, 3, 3, 2),  # two other tasks hold two cores
+        (2, 2, 2, 1),  # another process (a pool sibling, say) holds the other core
+        (2, 1, 2, 2),  # a task seen once is not counted
+        (2, 2, 1, 2),  # nor is one that has gone
+        (2, 9, 9, 1),
+        (1, 1, 1, 1),
+    ])
+    def test_free_cores(self, monkeypatch, usable, before, now, free):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: usable)
+        monkeypatch.setattr(dsp, "_runnable_tasks", lambda: now)
+        monkeypatch.setattr(dsp, "_runnable_before", before)
+        assert dsp._free_cores() == free
+        assert dsp._runnable_before == now
+
+    @pytest.mark.skipif(not os.path.exists("/proc/loadavg"), reason="no /proc/loadavg")
+    def test_runnable_tasks_counts_the_caller(self):
+        assert 1 <= dsp._runnable_tasks() < 1 << 20
+
+    @pytest.mark.parametrize("files, quota", [
+        ({}, None),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1.5),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2.0),
+        ({"cpu/cpu.cfs_quota_us": "50000\n"}, None),
+        ({"cpu.max": "garbled\n"}, None),
+    ], ids=["none", "v2-max", "v2-1.5", "v1-unlimited", "v1-2", "v1-no-period", "garbled"])
+    def test_cgroup_cpu_quota(self, tmp_path, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert dsp._cgroup_cpu_quota(str(tmp_path)) == quota
+
+    @pytest.mark.parametrize("quota, usable", [(None, 8), (1.5, 1), (0.5, 1), (3.0, 3),
+                                               (16.0, 8)])
+    def test_usable_cores_capped_by_quota(self, monkeypatch, quota, usable):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(dsp, "_cgroup_cpu_quota", lambda root: quota)
+        assert dsp._usable_cores() == usable
+
+    def test_caller_runs_the_calls_a_helper_does_not_reach(self, monkeypatch):
+        gate = threading.Event()
+
+        class LateThread(threading.Thread):
+            def run(self):  # gets a core only after the caller's last call
+                gate.wait(timeout=10)
+                super().run()
+        monkeypatch.setattr(threading, "Thread", LateThread)
+        calls = [threading.get_ident] * 3 + [lambda: (gate.set(), threading.get_ident())[1]]
+        assert dsp._run_split(calls, 2) == [threading.get_ident()] * 4
+
+    def test_error_in_a_helper_thread_reaches_the_caller(self):
+        def fail():
+            raise MemoryError("helper")
+        with pytest.raises(MemoryError, match="helper"):
+            dsp._run_split([lambda: 1, fail], 2)
+        assert dsp._run_split([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
+
+
 class TestSignal:
     def test_rejects_nan(self):
         with pytest.raises(ParameterError):
@@ -430,3 +549,69 @@ print(libc.mallinfo2().hblks - mapped_before)
 libc.free(block)
 """)
         assert int(out) == 1
+
+
+@pytest.mark.skipif(not GLIBC, reason="the arena setting applies to glibc only")
+def test_threaded_examples_allocate_from_one_arena():
+    out = run_fresh("""
+import ctypes, os, tempfile
+import numpy as np
+from rirshape import ShapingParams, Signal, Strategy, synth_rir
+from rirshape import dsp
+from rirshape.pipeline import generate_example
+dsp._free_cores = lambda: 2  # start helper threads whatever the host's load and cores
+rng = np.random.default_rng(0)
+speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
+noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
+h0 = synth_rir(1.0, seed=1)
+params = ShapingParams(Strategy.ATTENUATED_DECAYED)
+for seed in range(3):
+    generate_example(speech, noise, h0, params, 10.0, seed=seed)
+libc = ctypes.CDLL(None)
+libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+libc.fopen.restype = ctypes.c_void_p
+libc.fclose.argtypes = (ctypes.c_void_p,)
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+fd, path = tempfile.mkstemp()
+os.close(fd)
+stream = libc.fopen(path.encode(), b"w")
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+with open(path, encoding="ascii") as fh:
+    print(fh.read().count("<heap nr="))
+os.remove(path)
+""")
+    assert int(out) == 1
+
+
+def test_pool_build_after_threaded_transforms_in_the_parent(tmp_path):
+    # the parent's helper threads are joined before each convolve returns, so
+    # forked build workers neither hang nor change a byte
+    out = run_fresh(f"""
+import hashlib, pathlib
+import numpy as np
+from rirshape import Signal, Strategy, convolve, dsp, synth_rir, write_wav
+from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, build_dataset
+dsp._free_cores = lambda: 2  # start helper threads whatever the host's load and cores
+root = pathlib.Path({str(tmp_path)!r})
+rng = np.random.default_rng(0)
+speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
+h0 = synth_rir(1.0, seed=1)
+for _ in range(2):
+    convolve(speech, [h0, h0])
+write_wav(Signal(0.1 * rng.standard_normal(48000), 48000), root / "short.wav")
+write_wav(Signal(0.1 * rng.standard_normal(6 * 48000), 48000), root / "long.wav")
+write_wav(Signal(0.05 * rng.standard_normal(48000), 48000), root / "noise.wav")
+entries = [ManifestEntry(speech=str(root / ("long.wav" if i == 0 else "short.wav")),
+                         noise=str(root / "noise.wav"),
+                         rir_synth=RirSynthSpec(rt60=0.4 + 0.1 * i),
+                         strategy=list(Strategy)[i % 4]) for i in range(4)]
+manifest = DatasetManifest(entries, seed=3)
+def digests(out):
+    return {{p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir())}}
+pooled = build_dataset(manifest, root / "w2", workers=2)
+build_dataset(manifest, root / "w1", workers=1)
+print(pooled.n_ok, len(digests(root / "w2")), digests(root / "w2") == digests(root / "w1"))
+""")
+    assert out.split() == ["4", "18", "True"]

@@ -11,7 +11,7 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       generate_example, ideal_gains, mix_at_snr, parse_manifest,
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
-from rirshape import pipeline
+from rirshape import dsp, pipeline
 from rirshape.kvtext import parse_kv
 from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest
 from conftest import noise_like, speech_like
@@ -108,6 +108,22 @@ class TestGenerateExample:
         assert np.array_equal(example.input.samples, reverberant.samples)
         assert np.array_equal(example.target.samples, target)
         assert np.array_equal(example.gains.values, gains.values)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_same_bytes_on_one_and_two_threads(self, monkeypatch, strategy, noisy):
+        # 6 s of speech: long enough that convolve splits its transforms
+        speech = speech_like(6.0, seed=12)
+        h0 = synth_rir(0.8, seed=13)
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(dsp, "_free_cores", lambda: cores)
+            example = generate_example(speech, noise_like(2.0, seed=14) if noisy else None,
+                                       h0, ShapingParams(strategy), 3.0, seed=15)
+            results.append((example.input.samples.tobytes(),
+                            example.target.samples.tobytes(),
+                            example.gains.values.tobytes(), example.metadata))
+        assert results[0] == results[1]
 
     def test_deterministic_given_seed(self, speech, noise):
         h0 = synth_rir(0.5, seed=4)
