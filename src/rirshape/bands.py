@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -233,10 +234,14 @@ def read_band_matrix_csv(path) -> tuple[BandMatrix, np.ndarray]:
     if not lines or not lines[0].startswith("#"):
         raise ParameterError(f"{path}: missing band-matrix header")
     fields = dict(item.split("=", 1) for item in lines[0][1:].split() if "=" in item)
-    centers = np.array([float(c) for c in fields["band_centers_hz"].split(",")])
-    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if values.size == 0:
-        values = values.reshape(0, centers.size)
+    try:
+        centers = np.array([float(c) for c in fields["band_centers_hz"].split(",")])
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        values = values.reshape(len(lines) - 1, centers.size)  # one value per center
+    except KeyError:
+        raise ParameterError(f"{path}: header has no band_centers_hz") from None
+    except ValueError as exc:  # a bad number, or rows that do not match the centers
+        raise ParameterError(f"{path}: {exc}") from None
     return BandMatrix(values, fields.get("role", "energy")), centers
 
 
@@ -259,6 +264,10 @@ def write_band_matrix_raw(matrix: BandMatrix, path, sample_rate: int) -> None:
 def read_band_matrix_raw(path) -> tuple[BandMatrix, dict]:
     """Read a matrix written by :func:`write_band_matrix_raw`."""
     meta = kvtext.load_kv(f"{path}.meta.txt")
-    frames, bands = int(meta["frames"]), int(meta["bands"])
-    values = np.fromfile(path, dtype="<f4").astype(np.float64).reshape(frames, bands)
-    return BandMatrix(values, meta.get("role", "energy")), meta
+    try:
+        frames, bands = int(meta["frames"]), int(meta["bands"])
+        values = np.frombuffer(Path(path).read_bytes(), dtype="<f4").reshape(frames, bands)
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"{path}: does not match the frames x bands of its sidecar "
+                             f"({exc})") from None
+    return BandMatrix(values.astype(np.float64), meta.get("role", "energy")), meta

@@ -23,6 +23,7 @@ from . import acoustics, bands, dsp, kvtext, pipeline, shaping, wavio
 from .errors import ParameterError, RirshapeError
 
 ENV_OUT_DIR = "RIRSHAPE_OUT_DIR"
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _out_path(explicit, default_name: str) -> Path:
@@ -300,7 +301,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             except ValueError as exc:
                 raise ParameterError(f"config key {key!r}: {exc}") from exc
         elif isinstance(action.default, bool):
-            value = raw.lower() in ("1", "true", "yes")
+            value = _BOOLEANS.get(raw.lower())
+            if value is None:
+                raise ParameterError(f"config key {key!r}: {raw!r} is not one of "
+                                     "1/0/true/false/yes/no")
         else:
             value = raw
         if action.choices is not None and value not in action.choices:

@@ -37,24 +37,25 @@ has not taken, so a helper that gets no core soon leaves both to the
 caller. The inverse transforms stay on the caller's thread: split per
 response over two threads they saved ~2 ms of a ~70 ms 10 s example
 when a core was free and lost more than that otherwise.
-A helper starts only if another core is free: the cores this process may
-use are its affinity mask (``os.sched_getaffinity``) capped by its
-cgroup's CPU quota, and one counts as held while the machine's count of
-runnable tasks (``/proc/loadavg``) shows another task at this long
-transform and at the one before. A busy process beside the caller, or a
-second ``build_dataset`` pool worker, thus keeps a 10 s example on one
-thread, where a helper made it slower, not faster. Shorter transforms,
-such as those of 1 s entries, start no thread, and ``analyze`` runs on
-the caller's thread. No option or variable sets the count. The helper
-runs only ``scipy.fft`` and numpy and is joined before the call returns,
-so no thread is alive across a ``fork``; each transform is computed
-exactly as on one thread, so results are bit-identical either way.
+A helper starts only if the process may use another core (its affinity
+mask, ``os.sched_getaffinity``, capped by its cgroup's CPU quota) and
+``multiprocessing`` did not start it: a ``build_dataset`` pool worker
+stays on one thread, since its sibling workers hold the other cores. The
+count is fixed for the life of a process. The machine's load is not
+read, so beside an unrelated busy process a 10 s example keeps its
+helper. Shorter transforms, such as those of 1 s entries, start no
+thread, and ``analyze`` runs on the caller's thread. No option or
+variable sets the count. The helper runs only ``scipy.fft`` and numpy
+and is joined before the call returns, so no thread is alive across a
+``fork``; each transform is computed exactly as on one thread, so
+results are bit-identical either way.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import multiprocessing
 import os
 import platform
 import threading
@@ -81,7 +82,6 @@ _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
 _CGROUP_ROOT = "/sys/fs/cgroup"
-_runnable_before = 1  # runnable tasks seen at the previous long transform (none but this one)
 
 
 @dataclass(frozen=True)
@@ -236,32 +236,9 @@ def _cgroup_cpu_quota(root: str) -> float | None:
         return None
 
 
-def _runnable_tasks() -> int:
-    """Threads running or waiting for a core on this machine now, the caller included.
-
-    The fourth field of ``/proc/loadavg`` ("1/84" gives 1). Where that
-    cannot be read the cores count as busy, so no helper thread starts.
-    """
-    try:
-        with open("/proc/loadavg", encoding="ascii") as fh:
-            return int(fh.read().split()[3].split("/")[0])
-    except (OSError, ValueError, IndexError):
-        return 1 << 20
-
-
-def _free_cores() -> int:
-    """The caller's core plus every other usable core that no other task holds.
-
-    Other tasks are counted at this long transform and at the one before
-    it in this process, and the smaller count is taken: a task seen once,
-    such as a short-lived system process, holds no core; one that stays,
-    such as another busy process, holds one from the second transform on.
-    """
-    global _runnable_before
-    now = _runnable_tasks()
-    runnable, _runnable_before = min(now, _runnable_before), now
-    cores = _usable_cores()
-    return max(1, min(cores, cores + 1 - runnable))
+def _long_transform_threads() -> int:
+    """Threads for a long transform: the usable cores, or one in a worker process."""
+    return 1 if multiprocessing.parent_process() is not None else _usable_cores()
 
 
 def _transform_threads(points: int) -> int:
@@ -273,7 +250,7 @@ def _transform_threads(points: int) -> int:
     if points < RETAIN_FROM_NFFT:
         return 1
     _retain_freed_memory()
-    return _free_cores()
+    return _long_transform_threads()
 
 
 def _run_split(calls, threads: int) -> list:

@@ -311,13 +311,17 @@ def read_rir(path) -> Rir:
     Without a sidecar the direct path is detected as the peak-magnitude tap.
     """
     signal = wavio.read_wav(path)
-    direct_index = None
+    sidecar = sidecar_path(path)
     try:
-        record = kvtext.load_kv(sidecar_path(path))
-        if "direct_index" in record:
-            direct_index = int(record["direct_index"])
+        record = kvtext.load_kv(sidecar)
     except FileNotFoundError:
-        pass
-    if direct_index is None:
+        record = {}
+    if "direct_index" not in record:
         direct_index = int(np.argmax(np.abs(signal.samples)))
+    else:
+        try:
+            direct_index = int(record["direct_index"])
+        except ValueError:
+            raise ParameterError(f"{sidecar}: direct_index={record['direct_index']!r} "
+                                 "is not an integer") from None
     return Rir(signal.samples, signal.sample_rate, direct_index)

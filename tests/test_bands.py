@@ -278,3 +278,29 @@ class TestSerialization:
         assert meta["sample_rate"] == str(FS)
         assert meta["frame_advance_ms"] == "10"
         assert int(meta["frames"]) == 5 and int(meta["bands"]) == 32
+
+    MALFORMED_CSV = {
+        "no_centers.csv": "# role=gain\n0.5,0.5\n",
+        "ragged.csv": "# role=gain band_centers_hz=100,200\n0.1,0.2\n0.3\n",
+        "short_rows.csv": "# role=gain band_centers_hz=100,200,300\n0.1,0.2\n",
+        "not_a_number.csv": "# role=gain band_centers_hz=100,200\n0.1,abc\n",
+    }
+
+    @pytest.mark.parametrize("name", [*MALFORMED_CSV, "short.f32", "long.f32",
+                                      "bad_meta.f32"])
+    def test_malformed_file_names_its_path(self, tmp_path, name):
+        path = tmp_path / name
+        if name in self.MALFORMED_CSV:
+            path.write_text(self.MALFORMED_CSV[name], encoding="utf-8")
+            read = read_band_matrix_csv
+        else:
+            write_band_matrix_raw(BandMatrix(np.ones((3, 4)), "gain"), path, FS)
+            data = path.read_bytes()
+            if name == "bad_meta.f32":
+                meta = tmp_path / f"{name}.meta.txt"
+                meta.write_text(meta.read_text().replace("frames=3", "frames=three"))
+            else:
+                path.write_bytes(data[:-4] if name == "short.f32" else data + data[:4])
+            read = read_band_matrix_raw
+        with pytest.raises(ParameterError, match=name):
+            read(path)

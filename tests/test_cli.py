@@ -305,3 +305,32 @@ class TestConfigAndEnv:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "strategy" in err
+
+
+class TestMalformedInputs:
+    def test_bad_direct_index_in_sidecar_is_one_error_line(self, rir_file, capsys):
+        sidecar = f"{rir_file}.meta.txt"
+        with open(sidecar, "a", encoding="utf-8") as fh:
+            fh.write("direct_index=abc\n")
+        code, out, err = run(capsys, "analyze-rir", rir_file)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sidecar in err
+
+    @pytest.mark.parametrize("value, binary", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
+        ("NO", False), ("ture", None), ("on", None), ("2", None), ("", None)])
+    def test_boolean_config_values(self, tmp_path, capsys, value, binary):
+        wav = tmp_path / "a.wav"
+        write_wav(speech_like(0.25, seed=3), wav)
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"binary={value}\n")
+        code, _, err = run(capsys, "gains", "--input", wav, "--target", wav,
+                           "--config", config, "--out", tmp_path / "g")
+        if binary is None:  # anything else is an error naming the key, not false
+            assert code == 1 and not (tmp_path / "g").exists()
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'binary'" in err
+        else:
+            assert code == 0
+            assert (tmp_path / "g.meta.txt").exists() == binary

@@ -1,9 +1,11 @@
 import ctypes
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -358,12 +360,12 @@ class CountingThread(threading.Thread):
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Set the free cores ``dsp`` sees; count the helper threads it starts."""
+    """Set the threads of ``dsp``'s long transforms; count the helpers it starts."""
     monkeypatch.setattr(CountingThread, "started", 0)
     monkeypatch.setattr(threading, "Thread", CountingThread)
 
     def set_cores(n):
-        monkeypatch.setattr(dsp, "_free_cores", lambda: n)
+        monkeypatch.setattr(dsp, "_long_transform_threads", lambda: n)
     return set_cores
 
 
@@ -399,29 +401,19 @@ class TestThreadedTransforms:
         assert CountingThread.started == 0
 
     def test_thread_count_is_the_free_cores(self, monkeypatch):
-        monkeypatch.setattr(dsp, "_free_cores", lambda: 3)
+        monkeypatch.setattr(dsp, "_long_transform_threads", lambda: 3)
         assert dsp._transform_threads(RETAIN_FROM_NFFT - 1) == 1
         assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
 
-    @pytest.mark.parametrize("usable, before, now, free", [
-        (4, 1, 1, 4),  # only the caller runs: every core is free
-        (4, 3, 3, 2),  # two other tasks hold two cores
-        (2, 2, 2, 1),  # another process (a pool sibling, say) holds the other core
-        (2, 1, 2, 2),  # a task seen once is not counted
-        (2, 2, 1, 2),  # nor is one that has gone
-        (2, 9, 9, 1),
-        (1, 1, 1, 1),
-    ])
-    def test_free_cores(self, monkeypatch, usable, before, now, free):
-        monkeypatch.setattr(dsp, "_usable_cores", lambda: usable)
-        monkeypatch.setattr(dsp, "_runnable_tasks", lambda: now)
-        monkeypatch.setattr(dsp, "_runnable_before", before)
-        assert dsp._free_cores() == free
-        assert dsp._runnable_before == now
-
-    @pytest.mark.skipif(not os.path.exists("/proc/loadavg"), reason="no /proc/loadavg")
-    def test_runnable_tasks_counts_the_caller(self):
-        assert 1 <= dsp._runnable_tasks() < 1 << 20
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_pool_worker_runs_long_transforms_on_one_thread(self, monkeypatch):
+        # the forked worker inherits the patched cores, so only the worker
+        # rule can bring its count down to one
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 2
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(dsp._transform_threads, RETAIN_FROM_NFFT).result(60) == 1
 
     @pytest.mark.parametrize("files, quota", [
         ({}, None),
@@ -503,8 +495,10 @@ class TestFreedMemoryStaysInProcess:
         out = run_fresh("""
 import resource
 import numpy as np
-from rirshape import ShapingParams, Signal, Strategy, synth_rir
+from rirshape import ShapingParams, Signal, Strategy, dsp, synth_rir
 from rirshape.pipeline import generate_example
+rule, threads = dsp._long_transform_threads, []
+dsp._long_transform_threads = lambda: threads.append(rule()) or threads[-1]
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
 noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
@@ -514,9 +508,10 @@ for seed in range(2):
     generate_example(speech, noise, h0, params, 10.0, seed=seed)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 generate_example(speech, noise, h0, params, 10.0, seed=2)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *threads)
 """)
-        assert int(out) < 300
+        faults, *threads = out.split()
+        assert int(faults) < 300, f"{faults} minor faults; threads per long transform: {threads}"
 
     @pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
     def test_one_second_convolutions_leave_the_setting_off(self):
@@ -559,7 +554,7 @@ import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, synth_rir
 from rirshape import dsp
 from rirshape.pipeline import generate_example
-dsp._free_cores = lambda: 2  # start helper threads whatever the host's load and cores
+dsp._long_transform_threads = lambda: 2  # start helper threads whatever the host's cores
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
 noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
@@ -592,7 +587,7 @@ import hashlib, pathlib
 import numpy as np
 from rirshape import Signal, Strategy, convolve, dsp, synth_rir, write_wav
 from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, build_dataset
-dsp._free_cores = lambda: 2  # start helper threads whatever the host's load and cores
+dsp._long_transform_threads = lambda: 2  # start helper threads whatever the host's cores
 root = pathlib.Path({str(tmp_path)!r})
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
