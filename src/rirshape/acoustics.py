@@ -8,7 +8,7 @@ estimate, and the energy ratio across the early/late boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class ShapingReport:
     drr_after_db: float
     drr_boundary: float
 
-    CSV_HEADER = ("strategy,r0_estimate,r1_estimate,r1_predicted,"
-                  "relative_deviation,drr_before_db,drr_after_db,drr_boundary")
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -125,6 +122,9 @@ class ShapingReport:
 
     def to_csv_row(self) -> str:
         return ",".join(kvtext.kv_str(v) for v in self.as_dict().values())
+
+
+ShapingReport.CSV_HEADER = ",".join(f.name for f in fields(ShapingReport))
 
 
 def verify_shaping(h0: Rir, h1: Rir, params: ShapingParams) -> ShapingReport:

@@ -2,8 +2,9 @@
 
 Band matrices have one row per analysis frame of ``dsp``'s fixed
 profile (``dsp.WINDOW_MS`` windows every ``dsp.FRAME_ADVANCE_MS``) and
-one column per band. ``N_BANDS`` (32) band centers are spaced uniformly
-on the ERB-rate scale between 0 Hz and Nyquist; each FFT bin splits its
+one column per band; a filterbank covers the bins of those frames, so a
+sample rate fixes the whole layout. ``N_BANDS`` (32) band centers are
+spaced uniformly on the ERB-rate scale between 0 Hz and Nyquist; each FFT bin splits its
 unit weight between the two neighboring bands (a partition of unity), so
 per-band energies sum back to the spectrum's energy. Band gains are
 target/mixture energy ratios clamped to [0, 1], and can be interpolated
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from . import kvtext
-from .dsp import FRAME_ADVANCE_MS, FrameSpectra
+from .dsp import FRAME_ADVANCE_MS, FrameSpectra, frame_lengths
 from .errors import ParameterError, SampleRateMismatchError, ShapeMismatchError
 
 N_BANDS = 32
@@ -55,7 +56,6 @@ class Filterbank:
     weights: np.ndarray       # (n_bands, n_bins)
     band_centers: np.ndarray  # (n_bands,) Hz, strictly increasing
     sample_rate: int
-    fft_size: int
 
     @property
     def n_bands(self) -> int:
@@ -79,27 +79,28 @@ class Filterbank:
         owners = self.bin_owners()
         weights = np.zeros_like(self.weights)
         weights[owners, np.arange(self.n_bins)] = 1.0
-        return Filterbank(weights, self.band_centers, self.sample_rate, self.fft_size)
+        return Filterbank(weights, self.band_centers, self.sample_rate)
 
 
 @lru_cache(maxsize=None)
-def design_erb_filterbank(fft_size: int, sample_rate: int = 48000) -> Filterbank:
-    """Design the ``N_BANDS``-band triangular ERB-scale filterbank for one FFT layout.
+def design_erb_filterbank(sample_rate: int) -> Filterbank:
+    """Design the ``N_BANDS``-band triangular ERB-scale filterbank for one sample rate.
 
-    Centers run from 0 Hz to Nyquist with a constant ERB-rate step; a
-    bin between two centers splits its weight linearly in ERB-rate, and
-    the edge bands extend flat to the spectrum edges. Every bin's
-    weights sum to one. Designs are cached per argument set and shared
-    by every caller, so their arrays are read-only.
+    Its bins are those of ``dsp.analyze``'s frames at that rate. Centers
+    run from 0 Hz to Nyquist with a constant ERB-rate step; a bin between
+    two centers splits its weight linearly in ERB-rate, and the edge bands
+    extend flat to the spectrum edges. Every bin's weights sum to one.
+    Designs are cached per rate and shared by every caller, so their
+    arrays are read-only.
     """
-    if fft_size < 64:
-        raise ParameterError(f"fft_size must be at least 64, got {fft_size}")
-    if sample_rate <= 0:
-        raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
+    win = frame_lengths(sample_rate)[0]
+    if win < 64:
+        raise ParameterError(f"{sample_rate} Hz gives a {win}-sample window; "
+                             "the filterbank needs at least 64")
 
     nyquist = sample_rate / 2.0
-    n_bins = fft_size // 2 + 1
-    freqs = np.arange(n_bins) * sample_rate / fft_size
+    n_bins = win // 2 + 1
+    freqs = np.arange(n_bins) * sample_rate / win
     center_rates = np.linspace(0.0, float(erb_rate(nyquist)), N_BANDS)
     centers = erb_rate_to_hz(center_rates)
     centers[0] = 0.0
@@ -117,7 +118,7 @@ def design_erb_filterbank(fft_size: int, sample_rate: int = 48000) -> Filterbank
     weights[segment + 1, cols] += fraction
     weights.flags.writeable = False
     centers.flags.writeable = False
-    return Filterbank(weights, centers, sample_rate, fft_size)
+    return Filterbank(weights, centers, sample_rate)
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,6 @@ def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
     weights partition unity, the squared band energies of a frame sum
     to the frame's total spectral energy.
     """
-    if spectra.fft_size != fb.fft_size or spectra.n_bins != fb.n_bins:
-        raise ShapeMismatchError(
-            f"spectra fft_size {spectra.fft_size} does not match filterbank "
-            f"fft_size {fb.fft_size}")
     if spectra.sample_rate != fb.sample_rate:
         raise SampleRateMismatchError(
             f"spectra at {spectra.sample_rate} Hz vs filterbank at {fb.sample_rate} Hz")

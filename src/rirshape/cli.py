@@ -62,7 +62,7 @@ def cmd_shape(args) -> int:
     params = _shaping_params(args)
     shaped = shaping.shape_rir(rir, params)
     out = _out_path(args.out, Path(args.rir).stem + ".shaped.wav")
-    metadata = dict(params.as_dict(), source=str(args.rir), seed=args.seed)
+    metadata = dict(params.as_dict(), source=str(args.rir))
     shaping.write_rir(shaped, out, metadata=metadata, encoding=args.encoding)
     print(f"wrote {out}")
     return 0
@@ -194,8 +194,6 @@ def cmd_plot_data(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized work in this command")
     common.add_argument("--config", default=None,
                         help="key=value file of flag defaults")
 
@@ -216,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-rir", parents=[common],
                        help="synthesize a stochastic impulse response")
     p.add_argument("--rt60", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="noise seed (default 0)")
     p.add_argument("--length", type=float, default=None)
     p.add_argument("--n-early", type=int, default=shaping.DEFAULT_N_EARLY)
     p.add_argument("--sample-rate", type=int, default=dsp.DEFAULT_SAMPLE_RATE)
@@ -257,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="overrides the manifest's seed=")
     p.set_defaults(func=cmd_make_dataset)
 
     p = sub.add_parser("plot-data", parents=[common],

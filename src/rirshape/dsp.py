@@ -121,8 +121,8 @@ class Signal:
         return float(np.mean(self.samples ** 2))
 
 
-def _frame_lengths(sample_rate: int) -> tuple[int, int]:
-    """Window and hop of the fixed analysis profile, in samples."""
+def frame_lengths(sample_rate: int) -> tuple[int, int]:
+    """The one layout rule: window (= FFT) length and hop at ``sample_rate``, in samples."""
     win = round(sample_rate * WINDOW_MS / 1000.0)
     hop = round(sample_rate * FRAME_ADVANCE_MS / 1000.0)
     if win < 2 or hop < 1:
@@ -134,26 +134,21 @@ def _frame_lengths(sample_rate: int) -> tuple[int, int]:
 class FrameSpectra:
     """One-sided complex spectra of overlapping analysis frames.
 
-    ``frames`` has shape (n_frames, fft_size // 2 + 1). Window and hop
-    follow the module's fixed profile at ``sample_rate``; ``analyze``
-    sets fft_size to the window length, and a longer fft_size describes
-    zero-padded frames.
+    Window, hop and FFT follow the module's fixed profile at
+    ``sample_rate``, so ``frames`` has shape (n_frames, window_samples // 2 + 1).
     """
 
     frames: np.ndarray
     sample_rate: int
-    fft_size: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise MalformedSpectraError("frames must be a non-empty 2-D array")
-        if frames.shape[1] != self.fft_size // 2 + 1:
+        if frames.shape[1] != self.window_samples // 2 + 1:
             raise MalformedSpectraError(
-                f"{frames.shape[1]} bins inconsistent with fft_size={self.fft_size}")
-        if self.fft_size < self.window_samples:
-            raise MalformedSpectraError("fft_size smaller than the analysis window")
+                f"{frames.shape[1]} bins inconsistent with {self.sample_rate} Hz frames")
 
     @property
     def n_frames(self) -> int:
@@ -165,11 +160,11 @@ class FrameSpectra:
 
     @property
     def window_samples(self) -> int:
-        return _frame_lengths(self.sample_rate)[0]
+        return frame_lengths(self.sample_rate)[0]
 
     @property
     def hop_samples(self) -> int:
-        return _frame_lengths(self.sample_rate)[1]
+        return frame_lengths(self.sample_rate)[1]
 
 
 def power_complementary_window(length: int) -> np.ndarray:
@@ -410,14 +405,14 @@ def analyze(signal: Signal) -> FrameSpectra:
     size equal to the window). Frames shorter than one full window at
     the tail are dropped: a 1 s signal at 48 kHz yields 99 frames.
     """
-    win, hop = _frame_lengths(signal.sample_rate)
+    win, hop = frame_lengths(signal.sample_rate)
     if len(signal) < win:
         raise TooShortError(f"signal of {len(signal)} samples shorter than one "
                             f"{win}-sample window")
     window = power_complementary_window(win)
     framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
     frames = np.fft.rfft(framed * window, n=win, axis=1)
-    return FrameSpectra(frames, signal.sample_rate, win)
+    return FrameSpectra(frames, signal.sample_rate)
 
 
 def synthesize(spectra: FrameSpectra) -> Signal:
@@ -427,10 +422,9 @@ def synthesize(spectra: FrameSpectra) -> Signal:
     synthesize(analyze(s)) reproduces s exactly except within one
     window of each edge.
     """
-    win = spectra.window_samples
-    hop = spectra.hop_samples
+    win, hop = frame_lengths(spectra.sample_rate)
     window = power_complementary_window(win)
-    frames_t = np.fft.irfft(spectra.frames, n=spectra.fft_size, axis=1)[:, :win]
+    frames_t = np.fft.irfft(spectra.frames, n=win, axis=1)
     frames_t = frames_t * window
     # frames `groups` apart do not overlap, so every `groups`-th frame is
     # added in one go, as rows `stride` samples apart; `out` has room for

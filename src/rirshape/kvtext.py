@@ -65,9 +65,17 @@ def parse_kv(text: str) -> dict[str, str]:
     return record
 
 
+def read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 raise KvFormatError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise KvFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_kv(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv(fh.read())
+    return parse_kv(read_text(path))
 
 
 def save_kv(record: dict, path) -> None:

@@ -16,7 +16,7 @@ import io
 import math
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .bands import (BandMatrix, Filterbank, band_energies, design_erb_filterbank
                     ideal_gains, write_band_matrix_csv)
 from .dsp import DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, analyze, convolve, mix_at_snr
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
-                     SampleRateMismatchError, UndefinedDecayError)
+                     UndefinedDecayError)
 from .shaping import (DEFAULT_N_EARLY, Rir, ShapingParams, Strategy, check_synth_args,
                       read_rir, shape_rir, synth_rir)
 from .wavio import read_wav, write_wav
@@ -91,14 +91,14 @@ def _check_entry_id(entry_id: str) -> None:
     """Reject an id that is not a plain file-name stem and summary key.
 
     The id names the entry's files inside the output directory and its
-    ``failure_<id>`` line in ``summary.txt``, so it may hold no path
-    part, no ``=`` and nothing that breaks or hides a line.
+    ``failure_<id>`` line in ``summary.txt``, so it may hold no path part,
+    no ``=`` and nothing that breaks, hides or is stripped from a line.
     """
     if (entry_id in ("", ".", "..") or any(c in "/\\=" for c in entry_id)
-            or entry_id.splitlines() != [entry_id]
+            or entry_id.splitlines() != [entry_id] or entry_id != entry_id.strip()
             or any(unicodedata.category(c) == "Cc" for c in entry_id)):
-        raise ManifestError(f"unsafe entry id {entry_id!r}: it must be a non-empty "
-                            "file name without / \\ =, line breaks or control characters")
+        raise ManifestError(f"unsafe entry id {entry_id!r}: it must be a non-empty file "
+                            "name without / \\ =, line breaks, controls or edge whitespace")
 
 
 @dataclass
@@ -195,9 +195,6 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     if speech.sample_rate != DEFAULT_SAMPLE_RATE:
         raise ParameterError(
             f"speech must be {DEFAULT_SAMPLE_RATE} Hz, got {speech.sample_rate}")
-    if speech.sample_rate != h0.sample_rate:
-        raise SampleRateMismatchError(
-            f"speech at {speech.sample_rate} Hz vs impulse response at {h0.sample_rate} Hz")
     if noise is not None:
         if snr_db is None:
             raise ParameterError("a noisy example needs snr_db")
@@ -228,11 +225,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         "snr_db": None if noise is None else snr_db,
         "noise_free": noise is None,
         "noise_gain": noise_gain,
-        "strategy": params.strategy.value,
-        "t0": params.t0,
-        "t1": params.t1,
-        "alpha": params.alpha,
-        "rd": params.rd,
+        **params.as_dict(),
         "rt60_input_estimate": rt60_input,
         "rt60_target_predicted": params.predicted_rt60(rt60_input),
         "n_frames": gains.n_frames,
@@ -246,7 +239,7 @@ def pair_gains(input: Signal,
     """Ideal band gains that turn ``input``'s band energies into ``target``'s.
 
     Returns the gains, the filterbank they were computed with (designed
-    for the input's spectra) and the input's frame spectra, for callers
+    for the input's sample rate) and the input's frame spectra, for callers
     that apply the gains. The two signals must be equally long. A
     signal passed as both input and target, as in a noise-free
     strategy-``none`` example, is analyzed once.
@@ -254,7 +247,7 @@ def pair_gains(input: Signal,
     if len(input) != len(target):
         raise ParameterError("input and target must be equally long")
     input_spectra = analyze(input)
-    fb = design_erb_filterbank(input_spectra.fft_size, input_spectra.sample_rate)
+    fb = design_erb_filterbank(input_spectra.sample_rate)
     input_energies = band_energies(input_spectra, fb)
     target_energies = (input_energies if target is input
                        else band_energies(analyze(target), fb))
@@ -263,10 +256,30 @@ def pair_gains(input: Signal,
 
 # --- manifest text format ----------------------------------------------------
 #
-# Block records:  a [global] block with seed=/snr_min=/snr_max=/p_noise_free=,
-# then one [entry] block per example with speech=, noise=, rir= or rir_rt60=
-# (+ rir_n_early=, rir_length=), snr= (number or "sample"), strategy=,
-# t0=/t1=/alpha=/rd= overrides, seed=, id=.
+# Block records: a [global] block, then one [entry] block per example. Each
+# table below lists a block's keys, in the order format_manifest writes
+# them, with the parser of each value; any other key is an error.
+
+GLOBAL_KEYS = {"seed": int, "snr_min": float, "snr_max": float, "p_noise_free": float}
+ENTRY_KEYS = {"speech": str, "noise": str, "rir": str, "rir_rt60": float,
+              "rir_n_early": int, "rir_length": float,
+              "snr": lambda raw: None if raw == "sample" else float(raw),
+              "strategy": Strategy, "t0": float, "t1": float, "alpha": float, "rd": float,
+              "seed": int, "id": str}
+
+
+def _parse_values(record: dict, keys: dict, where: str) -> dict:
+    """Each value of ``record`` parsed by its key's parser; an unknown key is an error."""
+    values = {}
+    for key, raw in record.items():
+        if key not in keys:
+            raise ManifestError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = keys[key](raw)
+        except ValueError as exc:
+            raise ManifestError(f"{where}: bad {key}= value: {exc}") from None
+    return values
+
 
 def parse_manifest(text: str) -> DatasetManifest:
     try:
@@ -276,80 +289,66 @@ def parse_manifest(text: str) -> DatasetManifest:
     if loose:
         raise ManifestError(f"key {next(iter(loose))!r} outside any section")
 
-    seed = 0
-    snr_range = DEFAULT_SNR_RANGE
-    p_noise_free = DEFAULT_P_NOISE_FREE
+    globals_ = {}
     entries: list[ManifestEntry] = []
     for name, record in sections:
         name = name.lower()
-        if name not in ("global", "entry"):
-            raise ManifestError(f"unknown manifest section [{name}]")
         if name == "global":
-            try:
-                seed = int(record.get("seed", seed))
-                snr_range = (float(record.get("snr_min", snr_range[0])),
-                             float(record.get("snr_max", snr_range[1])))
-                p_noise_free = float(record.get("p_noise_free", p_noise_free))
-            except ValueError as exc:
-                raise ManifestError(f"bad global value: {exc}") from exc
+            globals_.update(_parse_values(record, GLOBAL_KEYS, "global"))
+        elif name == "entry":
+            entries.append(_parse_entry(record, f"entry {len(entries)}"))
         else:
-            entries.append(_parse_entry(record))
-    manifest = DatasetManifest(entries, seed, snr_range, p_noise_free)
+            raise ManifestError(f"unknown manifest section [{name}]")
+    snr_range = (globals_.get("snr_min", DEFAULT_SNR_RANGE[0]),
+                 globals_.get("snr_max", DEFAULT_SNR_RANGE[1]))
+    manifest = DatasetManifest(entries, globals_.get("seed", 0), snr_range,
+                               globals_.get("p_noise_free", DEFAULT_P_NOISE_FREE))
     manifest.validate()
     return manifest
 
 
-def _parse_entry(record: dict) -> ManifestEntry:
-    if "speech" not in record:
-        raise ManifestError("entry is missing speech=")
-    try:
-        snr_raw = record.get("snr", "sample")
-        snr_db = None if snr_raw == "sample" else float(snr_raw)
-        rir_synth = None
-        if "rir_rt60" in record:
-            rir_synth = RirSynthSpec(
-                rt60=float(record["rir_rt60"]),
-                n_early=int(record.get("rir_n_early", DEFAULT_N_EARLY)),
-                length=float(record["rir_length"]) if "rir_length" in record else None)
-        return ManifestEntry(
-            speech=record["speech"],
-            noise=record.get("noise"),
-            rir_path=record.get("rir"),
-            rir_synth=rir_synth,
-            snr_db=snr_db,
-            strategy=Strategy(record.get("strategy", Strategy.ATTENUATED_DECAYED.value)),
-            t0=float(record["t0"]) if "t0" in record else None,
-            t1=float(record["t1"]) if "t1" in record else None,
-            alpha=float(record["alpha"]) if "alpha" in record else None,
-            rd=float(record["rd"]) if "rd" in record else None,
-            seed=int(record["seed"]) if "seed" in record else None,
-            entry_id=record.get("id"),
-        )
-    except ValueError as exc:
-        raise ManifestError(f"bad entry value: {exc}") from exc
+def _parse_entry(record: dict, where: str) -> ManifestEntry:
+    values = _parse_values(record, ENTRY_KEYS, where)
+    if "speech" not in values:
+        raise ManifestError(f"{where}: missing speech=")
+    stray = sorted(values.keys() & {"rir_n_early", "rir_length"})
+    if stray and "rir_rt60" not in values:
+        raise ManifestError(f"{where}: keys {stray} apply only beside rir_rt60=")
+    rir_synth = (RirSynthSpec(values["rir_rt60"], values.get("rir_n_early", DEFAULT_N_EARLY),
+                              values.get("rir_length")) if "rir_rt60" in values else None)
+    return ManifestEntry(
+        speech=values["speech"], noise=values.get("noise"), rir_path=values.get("rir"),
+        rir_synth=rir_synth, snr_db=values.get("snr"),
+        strategy=values.get("strategy", Strategy.ATTENUATED_DECAYED),
+        t0=values.get("t0"), t1=values.get("t1"), alpha=values.get("alpha"),
+        rd=values.get("rd"), seed=values.get("seed"), entry_id=values.get("id"))
 
 
 def format_manifest(manifest: DatasetManifest) -> str:
     """Render a manifest back to its text form (round-trips with parse)."""
     lo, hi = manifest.snr_range
-    blocks = [("global", {"seed": manifest.seed, "snr_min": lo, "snr_max": hi,
-                          "p_noise_free": manifest.p_noise_free})]
+    blocks = [("global", GLOBAL_KEYS, {"seed": manifest.seed, "snr_min": lo, "snr_max": hi,
+                                       "p_noise_free": manifest.p_noise_free})]
     for entry in manifest.entries:
-        record = {"speech": entry.speech, "noise": entry.noise, "rir": entry.rir_path}
-        if entry.rir_synth:
-            spec = entry.rir_synth
-            record.update(rir_rt60=spec.rt60, rir_n_early=spec.n_early,
-                          rir_length=spec.length)
-        record.update(snr="sample" if entry.snr_db is None else entry.snr_db,
-                      strategy=entry.strategy.value, t0=entry.t0, t1=entry.t1,
-                      alpha=entry.alpha, rd=entry.rd, seed=entry.seed, id=entry.entry_id)
-        blocks.append(("entry", {k: v for k, v in record.items() if v is not None}))
-    return "\n".join(f"[{name}]\n{kvtext.dump_kv(record)}" for name, record in blocks)
+        spec = entry.rir_synth
+        blocks.append(("entry", ENTRY_KEYS, {
+            "speech": entry.speech, "noise": entry.noise, "rir": entry.rir_path,
+            "rir_rt60": spec and spec.rt60, "rir_n_early": spec and spec.n_early,
+            "rir_length": spec and spec.length,
+            "snr": "sample" if entry.snr_db is None else entry.snr_db,
+            "strategy": entry.strategy.value, "t0": entry.t0, "t1": entry.t1,
+            "alpha": entry.alpha, "rd": entry.rd, "seed": entry.seed, "id": entry.entry_id}))
+    return "\n".join(
+        f"[{name}]\n" + kvtext.dump_kv({key: record[key] for key in keys
+                                         if record[key] is not None})
+        for name, keys, record in blocks)
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    try:
+        return parse_manifest(kvtext.read_text(path))
+    except KvFormatError as exc:  # parse_manifest raises ManifestError, so not UTF-8
+        raise ManifestError(str(exc)) from exc
 
 
 # --- dataset build -----------------------------------------------------------
@@ -405,12 +404,12 @@ class DatasetSummary:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("entry_id", "ok", "reason", "snr_db", "noise_free",
-                         "rt60_estimate", "strategy"))
+        # a "\n" terminator leaves a bare "\r" unquoted, yet readers end a row there
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(f.name for f in fields(EntryResult))
         for r in self.results:
-            writer.writerow([kvtext.kv_str(v) for v in (
-                r.entry_id, r.ok, r.reason or "", r.snr_db, r.noise_free,
-                r.rt60_estimate, r.strategy)])
+            row = [kvtext.kv_str(v) for v in astuple(replace(r, reason=r.reason or ""))]
+            (quoted if any("\r" in value for value in row) else writer).writerow(row)
         return out.getvalue()
 
 
@@ -444,10 +443,9 @@ def _process_entry(task) -> EntryResult:
         write_wav(example.target, out / f"{entry_id}.target.wav")
         write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv",
                               example.filterbank)
-        metadata = {"entry_id": entry_id, "speech": entry.speech,
-                    "noise": entry.noise,
-                    "rir": entry.rir_path or f"synth(rt60={entry.rir_synth.rt60})"}
-        metadata.update(example.metadata)
+        metadata = {"entry_id": entry_id, "speech": entry.speech, "noise": entry.noise,
+                    "rir": entry.rir_path or f"synth(rt60={entry.rir_synth.rt60})",
+                    **example.metadata}
         kvtext.save_kv(metadata, out / f"{entry_id}.meta.txt")
 
         return EntryResult(entry_id, True, None,

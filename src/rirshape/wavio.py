@@ -52,23 +52,23 @@ def read_wav(path) -> Signal:
     if n_channels != 1:
         raise WavFormatError(f"{path}: only mono supported, got {n_channels} channels")
 
-    if audio_format == _FORMAT_PCM and bits == 16:
+    if (audio_format, bits) not in ((_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_FLOAT, 32)):
+        raise WavFormatError(
+            f"{path}: unsupported format (code={audio_format:#06x}, bits={bits}); "
+            "accepted: 16/24-bit PCM, 32-bit float")
+    if len(payload) % (bits // 8):
+        raise WavFormatError(f"{path}: data chunk holds a partial {bits}-bit sample")
+    if bits == 16:
         raw = np.frombuffer(payload, dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == _FORMAT_PCM and bits == 24:
-        if len(payload) % 3:
-            raise WavFormatError(f"{path}: 24-bit data size not a multiple of 3")
+    elif bits == 24:
         # each sample fills the top three bytes of a little-endian int32
         # word; the arithmetic shift right by 8 then sign-extends it
         words = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
         words[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         samples = (words.view("<i4")[:, 0] >> 8) / 8388608.0
-    elif audio_format == _FORMAT_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
-        raise WavFormatError(
-            f"{path}: unsupported format (code={audio_format:#06x}, bits={bits}); "
-            "accepted: 16/24-bit PCM, 32-bit float")
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return Signal(samples, sample_rate)
 
 

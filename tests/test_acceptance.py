@@ -109,7 +109,7 @@ def test_criterion_4_distance_claim():
 def test_criterion_5_gain_oracle():
     """Identity gains are ones; the rectangular chain reproduces targets."""
     started = time.perf_counter()
-    fb = design_erb_filterbank(960, FS)
+    fb = design_erb_filterbank(FS)
     rect = fb.rectangularized()
 
     spectra = analyze(speech_like(0.3, seed=0))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rirshape import (BandMatrix, ParameterError, ShapeMismatchError, Signal,
-                      analyze, apply_gains, band_energies, design_erb_filterbank,
-                      ideal_gains)
+from rirshape import (BandMatrix, ParameterError, SampleRateMismatchError,
+                      ShapeMismatchError, Signal, analyze, apply_gains, band_energies,
+                      design_erb_filterbank, ideal_gains)
 from rirshape.bands import (erb_rate, read_band_matrix_csv, read_band_matrix_raw,
                             write_band_matrix_csv, write_band_matrix_raw)
 from rirshape.dsp import FrameSpectra
@@ -19,7 +19,7 @@ FFT = 960
 
 @pytest.fixture(scope="module")
 def fb():
-    return design_erb_filterbank(FFT, FS)
+    return design_erb_filterbank(FS)
 
 
 class TestFilterbankDesign:
@@ -54,13 +54,19 @@ class TestFilterbankDesign:
         assert set(np.unique(rect.weights)) <= {0.0, 1.0}
 
     def test_small_fft_rejected(self):
+        # 1600 Hz gives a 32-sample window
         with pytest.raises(ParameterError):
-            design_erb_filterbank(32, FS)
+            design_erb_filterbank(1600)
+
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, FS])
+    def test_bins_match_the_analysis_frames(self, sample_rate):
+        spectra = analyze(Signal(np.ones(sample_rate // 10), sample_rate))
+        assert design_erb_filterbank(sample_rate).n_bins == spectra.n_bins
 
 
 class TestBandEnergies:
     def test_zero_spectra(self, fb):
-        spectra = FrameSpectra(np.zeros((9, FFT // 2 + 1), dtype=complex), FS, FFT)
+        spectra = FrameSpectra(np.zeros((9, FFT // 2 + 1), dtype=complex), FS)
         energies = band_energies(spectra, fb)
         assert energies.values.shape == (9, 32)
         assert not np.any(energies.values)
@@ -76,25 +82,26 @@ class TestBandEnergies:
         k = 123
         frames = np.zeros((1, FFT // 2 + 1), dtype=complex)
         frames[0, k] = 2.0
-        energies = band_energies(FrameSpectra(frames, FS, FFT), fb)
+        energies = band_energies(FrameSpectra(frames, FS), fb)
         expected = np.sqrt(fb.weights[:, k] * 4.0)
         assert np.allclose(energies.values[0], expected, atol=1e-12)
         assert np.count_nonzero(energies.values[0]) <= 2
 
-    @pytest.mark.parametrize("sample_rate", [16000, 48000])
-    @pytest.mark.parametrize("fft_size", [960, 1024, 2048])
-    def test_matches_dense_reference(self, fft_size, sample_rate):
-        bank = design_erb_filterbank(fft_size, sample_rate)
-        rng = np.random.default_rng(fft_size + sample_rate)
-        shape = (37, fft_size // 2 + 1)
+    # 51.2 and 102.4 kHz give 1024- and 2048-point frames
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000, 51200, 102400])
+    def test_matches_dense_reference(self, sample_rate):
+        bank = design_erb_filterbank(sample_rate)
+        rng = np.random.default_rng(sample_rate)
+        shape = (37, bank.n_bins)
         frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        spectra = FrameSpectra(frames, sample_rate, fft_size)
+        spectra = FrameSpectra(frames, sample_rate)
         dense = np.sqrt(np.abs(frames) ** 2 @ bank.weights.T)
         assert np.allclose(band_energies(spectra, bank).values, dense, rtol=1e-12, atol=0.0)
 
     def test_fft_mismatch_rejected(self, fb):
-        spectra = FrameSpectra(np.zeros((9, 513), dtype=complex), FS, 1024)
-        with pytest.raises(ShapeMismatchError):
+        # 16 kHz frames have 161 bins; the sample rate fixes the layout
+        spectra = FrameSpectra(np.zeros((9, 161), dtype=complex), 16000)
+        with pytest.raises(SampleRateMismatchError):
             band_energies(spectra, fb)
 
 
@@ -259,7 +266,7 @@ class TestSerialization:
     def test_csv_rows_match_per_value_format(self, rows):
         # reference: the per-value formatter the row template replaced
         matrix = BandMatrix(np.array(rows), "gain")
-        fb = design_erb_filterbank(FFT, FS)
+        fb = design_erb_filterbank(FS)
         expected = ["# role=gain band_centers_hz="
                     + ",".join(format(c, ".9g") for c in fb.band_centers)]
         expected += [",".join(format(v, ".9g") for v in row) for row in matrix.values]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,8 @@ class TestVerifyCommand:
         run(capsys, "verify", rir_file, "--strategy", "decayed", "--csv", csv)
         run(capsys, "verify", rir_file, "--strategy", "none", "--csv", csv)
         lines = csv.read_text().strip().splitlines()
-        assert lines[0].startswith("strategy,")
+        assert lines[0] == ("strategy,r0_estimate,r1_estimate,r1_predicted,"
+                            "relative_deviation,drr_before_db,drr_after_db,drr_boundary")
         assert len(lines) == 3
 
 
@@ -334,3 +337,82 @@ class TestMalformedInputs:
         else:
             assert code == 0
             assert (tmp_path / "g.meta.txt").exists() == binary
+
+    def test_non_utf8_sidecar_is_one_error_line(self, rir_file, capsys):
+        sidecar = f"{rir_file}.meta.txt"
+        with open(sidecar, "ab") as fh:
+            fh.write(b"direct_index=\xff\n")
+        code, out, err = run(capsys, "analyze-rir", rir_file)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sidecar in err
+
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_bytes(b"rt60=\xff\n")
+        code, _, err = run(capsys, "synth-rir", "--config", config,
+                           "--out", tmp_path / "x.wav")
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(config) in err
+
+    def test_non_utf8_manifest_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"[global]\nseed=1\n# \xff\n")
+        code, out, err = run(capsys, "make-dataset", manifest, "--out-dir", tmp_path / "d")
+        assert code == 1 and out == "" and not (tmp_path / "d").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(manifest) in err
+
+    @pytest.mark.parametrize("audio_format, bits", [(1, 16), (3, 32)])
+    def test_partial_sample_in_data_chunk_is_one_error_line(self, tmp_path, capsys,
+                                                            audio_format, bits):
+        width = bits // 8
+        fmt = struct.pack("<HHIIHH", audio_format, 1, FS, FS * width, width, bits)
+        payload = bytes(960 * width + 1)
+        body = b"fmt " + struct.pack("<I", 16) + fmt
+        body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00"
+        wav = tmp_path / f"odd{bits}.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        for argv in (("analyze-rir", wav),
+                     ("gains", "--input", wav, "--target", wav, "--out", tmp_path / "g")):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and not (tmp_path / "g").exists()
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(wav) in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ("gains", "--input", "a.wav", "--target", "b.wav"),
+        ("verify", "room.wav", "--strategy", "decayed"),
+        ("analyze-rir", "room.wav"),
+        ("shape", "room.wav", "--strategy", "none"),
+        ("plot-data", "D"),
+    ], ids=lambda argv: argv[0])
+    def test_rejected_where_nothing_is_random(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("RIRSHAPE_OUT_DIR", str(tmp_path))  # a wrongly accepted run
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_shape_sidecar_records_no_seed(self, tmp_path, rir_file, capsys):
+        out = tmp_path / "shaped.wav"
+        code, _, _ = run(capsys, "shape", rir_file, "--strategy", "decayed", "--out", out)
+        assert code == 0
+        assert "seed" not in load_kv(f"{out}.meta.txt")
+
+    def test_make_dataset_seed_overrides_manifest(self, tmp_path, capsys):
+        write_wav(speech_like(0.3, seed=1), tmp_path / "sp.wav")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"[global]\nseed=7\n[entry]\nspeech={tmp_path / 'sp.wav'}\n"
+                            "rir_rt60=0.4\nstrategy=none\n")
+        seeds = []
+        for seed in ("7", "8"):
+            out_dir = tmp_path / f"d{seed}"
+            code, _, _ = run(capsys, "make-dataset", manifest, "--out-dir", out_dir,
+                             "--seed", seed)
+            assert code == 0
+            seeds.append(load_kv(out_dir / "ex00000.meta.txt")["seed"])
+        assert seeds[0] != seeds[1]

@@ -1,7 +1,7 @@
 import pytest
 
 from rirshape.errors import KvFormatError, RirshapeError
-from rirshape.kvtext import dump_kv, parse_kv, parse_sections
+from rirshape.kvtext import dump_kv, load_kv, parse_kv, parse_sections
 
 
 class TestParseSections:
@@ -56,3 +56,11 @@ class TestDumpKv:
 
     def test_value_without_line_breaks_unchanged(self):
         assert dump_kv({"k": "C:\\path\\n.wav"}) == "k=C:\\path\\n.wav\n"
+
+
+class TestLoadKv:
+    def test_non_utf8_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "sidecar.meta.txt"
+        path.write_bytes(b"direct_index=\xff\n")
+        with pytest.raises(KvFormatError, match="sidecar.meta.txt"):
+            load_kv(path)

@@ -1,8 +1,10 @@
 import csv
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.signal import fftconvolve
 
@@ -12,8 +14,9 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
 from rirshape import dsp, pipeline
-from rirshape.kvtext import parse_kv
-from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest
+from rirshape.kvtext import dump_kv, parse_kv
+from rirshape.pipeline import (DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest,
+                               load_manifest)
 from conftest import noise_like, speech_like
 
 FS = 48000
@@ -274,6 +277,24 @@ class TestManifest:
         with pytest.raises(ManifestError):
             parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nstrategy=magic\n")
 
+    @pytest.mark.parametrize("text, where, key", [
+        ("[entry]\nspeech=s.wav\nrir=r.wav\nstratgy=none\n", "entry 0", "stratgy"),
+        ("[entry]\nspeech=s.wav\nrir=r.wav\n[entry]\nspeech=s.wav\nrir=r.wav\n"
+         "alpah=0.1\n", "entry 1", "alpah"),
+        ("[global]\nsnr_mn=10\n", "global", "snr_mn"),
+        ("[entry]\nspeech=s.wav\nrir=r.wav\nrir_n_early=3\n", "entry 0", "rir_n_early"),
+        ("[entry]\nspeech=s.wav\nrir=r.wav\nrir_length=0.5\n", "entry 0", "rir_length"),
+    ])
+    def test_unknown_or_unused_key_rejected(self, text, where, key):
+        with pytest.raises(ManifestError, match=f"{where}.*'{key}'"):
+            parse_manifest(text)
+
+    def test_non_utf8_manifest_names_its_path(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"[entry]\nspeech=\xff.wav\nrir=r.wav\n")
+        with pytest.raises(ManifestError, match="m.txt"):
+            load_manifest(path)
+
     def test_invalid_p_noise_free_rejected(self):
         with pytest.raises(ManifestError):
             DatasetManifest([], p_noise_free=1.5)
@@ -281,7 +302,8 @@ class TestManifest:
 
 UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a=b", "a\nb", "a\rb",
               "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\u2029b",
-              "a\tb", "a\x00b", "a\x7fb", "trailing\n"]
+              "a\tb", "a\x00b", "a\x7fb", "trailing\n", "trailing ", " leading",
+              "a\u3000"]
 
 
 class TestEntryIds:
@@ -444,3 +466,76 @@ class TestBuildDataset:
         else:
             assert float(meta["snr_db"]) == pytest.approx(draws.snr_db, rel=1e-8)
         assert int(meta["seed"]) == draws.rir_seed
+
+
+# ids: safe ones (commas, quotes, brackets, inner spaces) that often collide,
+# and unsafe ones; paths: the characters a summary must carry through intact
+SAFE_IDS = st.text(",\"' ;#[]ab.-_", min_size=1, max_size=4).filter(
+    lambda s: s == s.strip() and s not in (".", ".."))
+UNSAFE_ID_TEXT = st.one_of(st.sampled_from(UNSAFE_IDS), st.builds(
+    lambda head, bad, tail: head + bad + tail, st.text("ab", max_size=2),
+    st.sampled_from("/\\=\n\r\x00\x1f\x7f\x85\u2028\u2029"), st.text("ab", max_size=2)))
+PATH_TEXT = st.text(",\"'\n\r ;#=ab\\\x85", min_size=1, max_size=6)
+ENTRIES = st.lists(st.tuples(
+    st.one_of(st.none(), SAFE_IDS.map(lambda i: (i, True)),
+              UNSAFE_ID_TEXT.map(lambda i: (i, False))),
+    st.sampled_from(["missing", "garbage", "good"]), PATH_TEXT), min_size=1, max_size=4)
+
+
+class TestSummaryProperties:
+    @given(ENTRIES)
+    @example([(None, "garbage", "a,\"\r'\n")])  # a bare "\r" once broke summary.csv
+    @example([(("ok", True), "missing", ","), (("trailing ", False), "good", "a")])
+    @settings(max_examples=40, deadline=None)
+    def test_summary_of_any_direct_manifest(self, specs):
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, out = Path(tmp) / "in", Path(tmp) / "out"
+            inputs.mkdir()
+            write_wav(speech_like(0.1, seed=1), inputs / "sp.wav")
+            entries, expected = [], {}
+            for i, (id_spec, kind, text) in enumerate(specs):
+                speech = inputs / f"{kind}{text}.wav"
+                if kind == "garbage":
+                    speech.write_bytes(b"not a wave file")
+                elif kind == "good":
+                    speech = inputs / "sp.wav"
+                entry = ManifestEntry(speech=str(speech), rir_synth=RirSynthSpec(rt60=0.2),
+                                      entry_id=id_spec and id_spec[0])
+                entries.append(entry)
+                expected[entry.resolved_id(i)] = (kind, str(speech))
+            made = sorted(inputs.rglob("*"))
+            manifest = DatasetManifest(entries, seed=3)
+
+            if len(expected) < len(specs) or any(s and not s[1] for s, _, _ in specs):
+                with pytest.raises(ManifestError):
+                    build_dataset(manifest, out)
+                assert not out.exists()
+                return
+            summary = build_dataset(manifest, out)
+
+            assert sorted(inputs.rglob("*")) == made  # nothing lands outside out_dir
+            written = {p.name for p in out.rglob("*")}
+            assert written == {"summary.txt", "summary.csv"} | {
+                f"{entry_id}.{suffix}" for entry_id, (kind, _) in expected.items()
+                if kind == "good" for suffix in ("input.wav", "target.wav", "gains.csv",
+                                                 "meta.txt")}
+
+            reasons = {r.entry_id: r.reason for r in summary.results if not r.ok}
+            assert reasons.keys() == {i for i, (kind, _) in expected.items() if kind != "good"}
+            for entry_id, reason in reasons.items():
+                kind, speech = expected[entry_id]
+                # the OS error quotes the path as repr(); the WAV reader names it verbatim
+                assert (repr(speech) if kind == "missing" else speech) in reason
+
+            with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {7}
+            assert [row[0] for row in rows[1:]] == list(expected)
+            assert {row[0]: row[2] for row in rows[1:] if row[1] == "false"} == reasons
+
+            text = (out / "summary.txt").read_text(encoding="utf-8")
+            record = parse_kv(text)
+            assert len(text.splitlines()) == len(record)
+            for entry_id, reason in reasons.items():
+                assert f"failure_{entry_id}={record[f'failure_{entry_id}']}\n" == dump_kv(
+                    {f"failure_{entry_id}": reason})

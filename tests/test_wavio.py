@@ -151,3 +151,17 @@ def test_written_bytes_are_pinned(tmp_path, encoding, sha256):
     path = tmp_path / f"{encoding}.wav"
     write_wav(Signal(np.linspace(-1.25, 1.25, 101), FS), path, encoding=encoding)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("audio_format, bits", [(1, 16), (1, 24), (3, 32)])
+def test_data_size_not_whole_samples_rejected(tmp_path, audio_format, bits):
+    width = bits // 8
+    payload = bytes(3 * width + 1)  # one byte past the third sample
+    fmt = struct.pack("<HHIIHH", audio_format, 1, FS, FS * width, width, bits)
+    body = b"fmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00"
+    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+    path = tmp_path / f"odd{bits}.wav"
+    path.write_bytes(blob)
+    with pytest.raises(WavFormatError, match=f"odd{bits}.wav"):
+        read_wav(path)
