@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from rirshape import Signal, Strategy, build_dataset, parse_manifest, write_wav
-from rirshape.pipeline import (DatasetManifest, ManifestEntry, RirSynthSpec,
-                               format_manifest)
+from rirshape.pipeline import DatasetManifest, ManifestEntry, format_manifest
 
 FS = 48000
 
@@ -52,8 +51,7 @@ def main():
         entries.append(ManifestEntry(
             speech=str(speech_paths[i % len(speech_paths)]),
             noise=str(noise_path),
-            rir_synth=RirSynthSpec(rt60=float(rng.uniform(0.2, 1.2))),
-            snr_db=None,
+            rir_rt60=float(rng.uniform(0.2, 1.2)),
             strategy=strategies[i % len(strategies)]))
     manifest = DatasetManifest(entries, seed=args.seed)
 

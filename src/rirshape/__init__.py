@@ -10,9 +10,9 @@ from .errors import (DegenerateEnergyError, KvFormatError, MalformedSpectraError
                      ManifestError, ParameterError, RirshapeError,
                      SampleRateMismatchError, ShapeMismatchError, TooShortError,
                      UndefinedDecayError, WavFormatError)
-from .pipeline import (DatasetManifest, Example, ManifestEntry, RirSynthSpec,
-                       build_dataset, generate_example, load_manifest,
-                       parse_manifest, sample_entry_randomness)
+from .pipeline import (DatasetManifest, Example, ManifestEntry, build_dataset,
+                       generate_example, load_manifest, parse_manifest,
+                       sample_entry_randomness)
 from .shaping import (Rir, ShapingParams, Strategy, attenuation_function,
                       decay_function, dirac_rir, predicted_target_distance,
                       predicted_target_rt60, read_rir, shape_rir, synth_rir,
@@ -25,7 +25,7 @@ __all__ = [
     "BandMatrix", "DatasetManifest", "DecayCurve", "DegenerateEnergyError",
     "Example", "Filterbank", "FrameSpectra", "KvFormatError", "MalformedSpectraError",
     "ManifestEntry", "ManifestError", "ParameterError", "Rir", "RirshapeError",
-    "RirSynthSpec", "SampleRateMismatchError", "ShapeMismatchError",
+    "SampleRateMismatchError", "ShapeMismatchError",
     "ShapingParams", "ShapingReport", "Signal", "Strategy", "TooShortError",
     "UndefinedDecayError", "WavFormatError", "analyze", "apply_gains",
     "attenuation_function", "band_energies", "build_dataset", "convolve",

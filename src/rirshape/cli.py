@@ -280,16 +280,15 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str):
     raise RuntimeError("parser has no subcommands")
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Check every --config value, then fill the args still at their default.
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The --config file's values, converted and checked like ``command``'s flags.
 
-    A value is converted and choice-checked even where an explicit flag
-    overrides it, so a malformed config file is never half accepted.
+    Every value is checked, even one an explicit flag overrides, so a
+    malformed config file is never half accepted.
     """
-    if not getattr(args, "config", None):
-        return
-    record = kvtext.load_kv(args.config)
-    actions = {a.dest: a for a in _subparser_for(parser, args.command)._actions}
+    record = kvtext.load_kv(path)
+    actions = {a.dest: a for a in command._actions}
+    defaults = {}
     for key, raw in record.items():
         dest = key.replace("-", "_")
         action = actions.get(dest)
@@ -309,15 +308,19 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             value = raw
         if action.choices is not None and value not in action.choices:
             raise ParameterError(f"config key {key!r}: {value!r} is not a valid choice")
-        if getattr(args, dest) == action.default:  # an explicit flag wins
-            setattr(args, dest, value)
+        defaults[dest] = value
+    return defaults
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args)
+        if args.config:
+            # the config values become the flags' defaults, so any flag given wins
+            command = _subparser_for(parser, args.command)
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (RirshapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

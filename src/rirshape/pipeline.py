@@ -38,52 +38,47 @@ TAIL_SECONDS = 0.5  # reverberant tail kept past the end of the speech
 RT60_BIN_WIDTH = 0.2  # seconds per bucket of the summary's RT60 histogram
 
 
-@dataclass
-class RirSynthSpec:
-    """Parameters for synthesizing an entry's impulse response on the fly."""
-
-    rt60: float
-    n_early: int = DEFAULT_N_EARLY
-    length: float | None = None
-
-
-@dataclass
+@dataclass(slots=True)
 class ManifestEntry:
-    """One training-example recipe.
+    """One training-example recipe; its fields are the ``[entry]`` keys.
 
-    ``snr_db`` of None means sample it from the global range. Exactly
-    one of ``rir_path`` / ``rir_synth`` must be given. A missing seed is
-    resolved from the entry's derived random stream.
+    Exactly one of ``rir`` (a file) and ``rir_rt60`` (a room to synthesize)
+    must be given. ``snr`` of None means sample it from the global range. A
+    missing seed is resolved from the entry's derived random stream.
     """
 
     speech: str
     noise: str | None = None
-    rir_path: str | None = None
-    rir_synth: RirSynthSpec | None = None
-    snr_db: float | None = None
+    rir: str | None = None
+    rir_rt60: float | None = None
+    rir_n_early: int | None = None
+    rir_length: float | None = None
+    snr: float | None = None
     strategy: Strategy = Strategy.ATTENUATED_DECAYED
     t0: float | None = None
     t1: float | None = None
     alpha: float | None = None
     rd: float | None = None
     seed: int | None = None
-    entry_id: str | None = None
+    id: str | None = None
 
     def shaping_params(self) -> ShapingParams:
         return ShapingParams(self.strategy, self.t0, self.t1, self.alpha, self.rd)
 
     def resolved_id(self, index: int) -> str:
         """The id this entry's files and summary lines are named by."""
-        return self.entry_id if self.entry_id is not None else f"ex{index:05d}"
+        return self.id if self.id is not None else f"ex{index:05d}"
 
     def validate(self) -> None:
-        if self.entry_id is not None:
-            _check_entry_id(self.entry_id)
-        if (self.rir_path is None) == (self.rir_synth is None):
+        if self.id is not None:
+            _check_entry_id(self.id)
+        stray = [key for key in ("rir_n_early", "rir_length") if getattr(self, key) is not None]
+        if stray and self.rir_rt60 is None:
+            raise ManifestError(f"keys {stray} apply only beside rir_rt60=")
+        if (self.rir is None) == (self.rir_rt60 is None):
             raise ManifestError("entry needs exactly one of rir=/rir_rt60=")
-        if self.rir_synth is not None:
-            spec = self.rir_synth
-            check_synth_args(spec.rt60, spec.length, spec.n_early)
+        if self.rir_rt60 is not None:
+            check_synth_args(self.rir_rt60, self.rir_length, self.rir_n_early)
         self.shaping_params()
 
 
@@ -101,34 +96,38 @@ def _check_entry_id(entry_id: str) -> None:
                             "name without / \\ =, line breaks, controls or edge whitespace")
 
 
-@dataclass
+@dataclass(slots=True)
 class DatasetManifest:
-    """Entry list plus the globals that drive sampled randomness."""
+    """Entry list plus the ``[global]`` keys that drive sampled randomness."""
 
     entries: list[ManifestEntry] = field(default_factory=list)
     seed: int = 0
-    snr_range: tuple[float, float] = DEFAULT_SNR_RANGE
+    snr_min: float = DEFAULT_SNR_RANGE[0]
+    snr_max: float = DEFAULT_SNR_RANGE[1]
     p_noise_free: float = DEFAULT_P_NOISE_FREE
 
     def __post_init__(self):
-        lo, hi = self.snr_range
-        if not lo < hi:
-            raise ManifestError(f"snr_range must be increasing, got {self.snr_range}")
+        if not self.snr_min < self.snr_max:
+            raise ManifestError(f"snr_min must be below snr_max, got {self.snr_range}")
         if not 0.0 <= self.p_noise_free <= 1.0:
             raise ManifestError(f"p_noise_free must lie in [0, 1], got {self.p_noise_free}")
 
+    @property
+    def snr_range(self) -> tuple[float, float]:
+        return (self.snr_min, self.snr_max)
+
     def validate(self) -> None:
-        """Raise ManifestError for a bad entry or two entries with one resolved id."""
-        lo, hi = self.snr_range
+        """Raise ManifestError for a bad global, a bad entry or two entries with one id."""
+        self.__post_init__()  # the globals may have been reassigned since construction
         first_index: dict[str, int] = {}
         for i, entry in enumerate(self.entries):
             try:
                 entry.validate()
             except RirshapeError as exc:
                 raise ManifestError(f"entry {i}: {exc}") from exc
-            if entry.snr_db is not None and not lo <= entry.snr_db <= hi:
+            if entry.snr is not None and not self.snr_min <= entry.snr <= self.snr_max:
                 raise ManifestError(
-                    f"entry {i}: snr {entry.snr_db} outside range {self.snr_range}")
+                    f"entry {i}: snr {entry.snr} outside range {self.snr_range}")
             entry_id = entry.resolved_id(i)
             if entry_id in first_index:
                 raise ManifestError(
@@ -257,8 +256,9 @@ def pair_gains(input: Signal,
 # --- manifest text format ----------------------------------------------------
 #
 # Block records: a [global] block, then one [entry] block per example. Each
-# table below lists a block's keys, in the order format_manifest writes
-# them, with the parser of each value; any other key is an error.
+# table below lists a block's keys, which are the fields of DatasetManifest
+# and ManifestEntry in order, with the parser of each value; any other key
+# is an error.
 
 GLOBAL_KEYS = {"seed": int, "snr_min": float, "snr_max": float, "p_noise_free": float}
 ENTRY_KEYS = {"speech": str, "noise": str, "rir": str, "rir_rt60": float,
@@ -299,10 +299,7 @@ def parse_manifest(text: str) -> DatasetManifest:
             entries.append(_parse_entry(record, f"entry {len(entries)}"))
         else:
             raise ManifestError(f"unknown manifest section [{name}]")
-    snr_range = (globals_.get("snr_min", DEFAULT_SNR_RANGE[0]),
-                 globals_.get("snr_max", DEFAULT_SNR_RANGE[1]))
-    manifest = DatasetManifest(entries, globals_.get("seed", 0), snr_range,
-                               globals_.get("p_noise_free", DEFAULT_P_NOISE_FREE))
+    manifest = DatasetManifest(entries, **globals_)
     manifest.validate()
     return manifest
 
@@ -311,37 +308,21 @@ def _parse_entry(record: dict, where: str) -> ManifestEntry:
     values = _parse_values(record, ENTRY_KEYS, where)
     if "speech" not in values:
         raise ManifestError(f"{where}: missing speech=")
-    stray = sorted(values.keys() & {"rir_n_early", "rir_length"})
-    if stray and "rir_rt60" not in values:
-        raise ManifestError(f"{where}: keys {stray} apply only beside rir_rt60=")
-    rir_synth = (RirSynthSpec(values["rir_rt60"], values.get("rir_n_early", DEFAULT_N_EARLY),
-                              values.get("rir_length")) if "rir_rt60" in values else None)
-    return ManifestEntry(
-        speech=values["speech"], noise=values.get("noise"), rir_path=values.get("rir"),
-        rir_synth=rir_synth, snr_db=values.get("snr"),
-        strategy=values.get("strategy", Strategy.ATTENUATED_DECAYED),
-        t0=values.get("t0"), t1=values.get("t1"), alpha=values.get("alpha"),
-        rd=values.get("rd"), seed=values.get("seed"), entry_id=values.get("id"))
+    return ManifestEntry(**values)
 
 
 def format_manifest(manifest: DatasetManifest) -> str:
     """Render a manifest back to its text form (round-trips with parse)."""
-    lo, hi = manifest.snr_range
-    blocks = [("global", GLOBAL_KEYS, {"seed": manifest.seed, "snr_min": lo, "snr_max": hi,
-                                       "p_noise_free": manifest.p_noise_free})]
+    blocks = [("global", {key: getattr(manifest, key) for key in GLOBAL_KEYS})]
     for entry in manifest.entries:
-        spec = entry.rir_synth
-        blocks.append(("entry", ENTRY_KEYS, {
-            "speech": entry.speech, "noise": entry.noise, "rir": entry.rir_path,
-            "rir_rt60": spec and spec.rt60, "rir_n_early": spec and spec.n_early,
-            "rir_length": spec and spec.length,
-            "snr": "sample" if entry.snr_db is None else entry.snr_db,
-            "strategy": entry.strategy.value, "t0": entry.t0, "t1": entry.t1,
-            "alpha": entry.alpha, "rd": entry.rd, "seed": entry.seed, "id": entry.entry_id}))
+        record = {key: getattr(entry, key) for key in ENTRY_KEYS}
+        record.update(snr="sample" if entry.snr is None else entry.snr,
+                      strategy=entry.strategy.value)
+        blocks.append(("entry", record))
     return "\n".join(
-        f"[{name}]\n" + kvtext.dump_kv({key: record[key] for key in keys
-                                         if record[key] is not None})
-        for name, keys, record in blocks)
+        f"[{name}]\n" + kvtext.dump_kv({key: value for key, value in record.items()
+                                         if value is not None})
+        for name, record in blocks)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -422,19 +403,19 @@ def _process_entry(task) -> EntryResult:
     try:
         speech = read_wav(entry.speech)
         params = entry.shaping_params()
-        if entry.rir_path is not None:
-            h0 = read_rir(entry.rir_path)
+        if entry.rir is not None:
+            h0 = read_rir(entry.rir)
         else:
-            recipe = entry.rir_synth
-            h0 = synth_rir(recipe.rt60, length=recipe.length, n_early=recipe.n_early,
+            n_early = DEFAULT_N_EARLY if entry.rir_n_early is None else entry.rir_n_early
+            h0 = synth_rir(entry.rir_rt60, length=entry.rir_length, n_early=n_early,
                            seed=resolved_seed, sample_rate=speech.sample_rate)
 
         # the sampled noise-free flag only applies to entries whose SNR is
         # itself sampled; an explicit snr= pins the mix
-        noise_free = entry.noise is None or (entry.snr_db is None and draws.noise_free)
+        noise_free = entry.noise is None or (entry.snr is None and draws.noise_free)
         noise = None if noise_free else read_wav(entry.noise)
         snr_db = None if noise_free else (
-            entry.snr_db if entry.snr_db is not None else draws.snr_db)
+            entry.snr if entry.snr is not None else draws.snr_db)
 
         example = generate_example(speech, noise, h0, params, snr_db, resolved_seed)
 
@@ -444,7 +425,7 @@ def _process_entry(task) -> EntryResult:
         write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv",
                               example.filterbank)
         metadata = {"entry_id": entry_id, "speech": entry.speech, "noise": entry.noise,
-                    "rir": entry.rir_path or f"synth(rt60={entry.rir_synth.rt60})",
+                    "rir": entry.rir or f"synth(rt60={entry.rir_rt60})",
                     **example.metadata}
         kvtext.save_kv(metadata, out / f"{entry_id}.meta.txt")
 
@@ -453,7 +434,7 @@ def _process_entry(task) -> EntryResult:
                            noise_free=example.metadata["noise_free"],
                            rt60_estimate=example.metadata["rt60_input_estimate"],
                            strategy=params.strategy.value)
-    except Exception as exc:  # entry isolation: record, never abort the batch
+    except (RirshapeError, OSError) as exc:  # bad data fails its entry; a bug propagates
         return EntryResult(entry_id, False, f"{type(exc).__name__}: {exc}",
                            strategy=entry.strategy.value)
 
@@ -463,8 +444,10 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
 
     Writes ``<id>.input.wav``, ``<id>.target.wav``, ``<id>.gains.csv``
     and ``<id>.meta.txt`` per entry, plus ``summary.txt`` and
-    ``summary.csv``. Entry failures are recorded in the summary, not
-    raised. A bad entry or a repeated id is a ManifestError raised
+    ``summary.csv``. An entry whose inputs cannot be read or used
+    (``RirshapeError``, ``OSError``) is recorded in the summary as failed;
+    any other exception is a bug and propagates, with no summary written.
+    A bad entry or a repeated id is a ManifestError raised
     before anything is written. With ``workers`` > 1 entries are
     processed in parallel; outputs are byte-identical regardless of
     worker count.

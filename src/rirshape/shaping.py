@@ -211,7 +211,7 @@ def dirac_rir(sample_rate: int = DEFAULT_SAMPLE_RATE) -> Rir:
     return Rir(np.array([1.0]), sample_rate, 0)
 
 
-def check_synth_args(rt60: float, length: float | None, n_early: int,
+def check_synth_args(rt60: float, length: float | None, n_early: int | None,
                      tail_level: float = DEFAULT_TAIL_LEVEL) -> None:
     """Raise ParameterError unless :func:`synth_rir` accepts these arguments."""
     if not MIN_SYNTH_RT60 <= rt60 <= MAX_SYNTH_RT60:
@@ -222,7 +222,7 @@ def check_synth_args(rt60: float, length: float | None, n_early: int,
     if not 0.0 < tail_level <= 0.15:
         # keeps the direct tap the peak with overwhelming probability
         raise ParameterError(f"tail_level must lie in (0, 0.15], got {tail_level}")
-    if n_early < 0:
+    if n_early is not None and n_early < 0:  # None stands for the default count
         raise ParameterError("n_early must be nonnegative")
 
 
@@ -309,6 +309,7 @@ def read_rir(path) -> Rir:
     """Read a WAV impulse response, using the sidecar's direct index if present.
 
     Without a sidecar the direct path is detected as the peak-magnitude tap.
+    A sidecar's ``sample_rate=`` must match the WAV header.
     """
     signal = wavio.read_wav(path)
     sidecar = sidecar_path(path)
@@ -316,12 +317,17 @@ def read_rir(path) -> Rir:
         record = kvtext.load_kv(sidecar)
     except FileNotFoundError:
         record = {}
-    if "direct_index" not in record:
+    ints = {}
+    for key, raw in record.items():
+        if key in ("direct_index", "sample_rate"):
+            try:
+                ints[key] = int(raw)
+            except ValueError:
+                raise ParameterError(f"{sidecar}: {key}={raw!r} is not an integer") from None
+    if ints.get("sample_rate", signal.sample_rate) != signal.sample_rate:
+        raise ParameterError(f"{sidecar}: sample_rate={ints['sample_rate']} disagrees with "
+                             f"the WAV header's {signal.sample_rate} Hz")
+    direct_index = ints.get("direct_index")
+    if direct_index is None:
         direct_index = int(np.argmax(np.abs(signal.samples)))
-    else:
-        try:
-            direct_index = int(record["direct_index"])
-        except ValueError:
-            raise ParameterError(f"{sidecar}: direct_index={record['direct_index']!r} "
-                                 "is not an integer") from None
     return Rir(signal.samples, signal.sample_rate, direct_index)

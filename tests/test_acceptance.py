@@ -17,7 +17,7 @@ from rirshape import (Rir, ShapingParams, Signal, Strategy, UndefinedDecayError,
                       mix_at_snr, predicted_target_distance, shape_rir, synth_rir,
                       synthesize, write_rir, write_wav)
 from rirshape.bands import apply_gains
-from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, build_dataset
+from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset
 from conftest import noise_like, speech_like
 
 FS = 48000
@@ -183,9 +183,9 @@ def test_criterion_7_determinism(tmp_path):
         entries.append(ManifestEntry(
             speech=str(tmp_path / "sp.wav"),
             noise=str(tmp_path / "no.wav") if i % 3 else None,
-            rir_path=str(tmp_path / "room.wav") if i % 2 else None,
-            rir_synth=None if i % 2 else RirSynthSpec(rt60=0.25 + 0.05 * i),
-            snr_db=None if i % 4 else 12.0,
+            rir=str(tmp_path / "room.wav") if i % 2 else None,
+            rir_rt60=None if i % 2 else 0.25 + 0.05 * i,
+            snr=None if i % 4 else 12.0,
             strategy=list(Strategy)[i % 4]))
     manifest = DatasetManifest(entries, seed=777)
 

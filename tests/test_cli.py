@@ -5,6 +5,7 @@ import pytest
 
 from rirshape import (ShapingParams, Signal, Strategy, read_rir, read_wav,
                       shape_rir, synth_rir, write_rir, write_wav)
+from rirshape import pipeline
 from rirshape.bands import read_band_matrix_csv
 from rirshape.cli import main
 from rirshape.kvtext import load_kv, parse_kv
@@ -249,6 +250,17 @@ class TestMakeDatasetCommand:
         assert "failed=1" in out
         assert "error: entry ex00001" in err
 
+    def test_bug_is_raised_not_summarized(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(pipeline, "generate_example", broken)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(self.write_corpus(tmp_path))
+        with pytest.raises(TypeError, match="a bug"):
+            main(["make-dataset", str(manifest), "--out-dir", str(tmp_path / "data")])
+        assert not (tmp_path / "data" / "summary.txt").exists()
+
 
 class TestConfigAndEnv:
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch, capsys):
@@ -273,6 +285,18 @@ class TestConfigAndEnv:
         assert code == 0
         meta = load_kv(f"{explicit}.meta.txt")
         assert float(meta["nominal_rt60"]) == 0.6
+
+    @pytest.mark.parametrize("flags, n_early", [([], "3"), (["--n-early", "6"], "6"),
+                                                 (["--n-early", "4"], "4")])
+    def test_any_given_flag_beats_config(self, tmp_path, capsys, flags, n_early):
+        # 6 is --n-early's default: giving it still overrides the config file
+        config = tmp_path / "cfg.txt"
+        config.write_text("n_early=3\n")
+        out = tmp_path / "x.wav"
+        code, _, _ = run(capsys, "synth-rir", "--rt60", "0.3", *flags,
+                         "--config", config, "--out", out)
+        assert code == 0
+        assert load_kv(f"{out}.meta.txt")["n_early"] == n_early
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
@@ -319,6 +343,15 @@ class TestMalformedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sidecar in err
+
+    def test_sidecar_sample_rate_unlike_the_wav_is_one_error_line(self, rir_file, capsys):
+        sidecar = f"{rir_file}.meta.txt"
+        with open(sidecar, "a", encoding="utf-8") as fh:
+            fh.write("sample_rate=16000\n")
+        code, out, err = run(capsys, "analyze-rir", rir_file)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sidecar in err and "sample_rate=16000" in err
 
     @pytest.mark.parametrize("value, binary", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),

@@ -579,7 +579,7 @@ def test_pool_build_after_threaded_transforms_in_the_parent(tmp_path):
 import hashlib, pathlib
 import numpy as np
 from rirshape import Signal, Strategy, convolve, dsp, synth_rir, write_wav
-from rirshape.pipeline import DatasetManifest, ManifestEntry, RirSynthSpec, build_dataset
+from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset
 dsp._long_transform_threads = lambda: 2  # start helper threads whatever the host's cores
 root = pathlib.Path({str(tmp_path)!r})
 rng = np.random.default_rng(0)
@@ -592,7 +592,7 @@ write_wav(Signal(0.1 * rng.standard_normal(6 * 48000), 48000), root / "long.wav"
 write_wav(Signal(0.05 * rng.standard_normal(48000), 48000), root / "noise.wav")
 entries = [ManifestEntry(speech=str(root / ("long.wav" if i == 0 else "short.wav")),
                          noise=str(root / "noise.wav"),
-                         rir_synth=RirSynthSpec(rt60=0.4 + 0.1 * i),
+                         rir_rt60=0.4 + 0.1 * i,
                          strategy=list(Strategy)[i % 4]) for i in range(4)]
 manifest = DatasetManifest(entries, seed=3)
 def digests(out):

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       write_rir, write_wav)
 from rirshape import dsp, pipeline
 from rirshape.kvtext import dump_kv, parse_kv
-from rirshape.pipeline import (DatasetManifest, ManifestEntry, RirSynthSpec, format_manifest,
-                               load_manifest)
+from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, ManifestEntry,
+                               format_manifest, load_manifest)
 from conftest import noise_like, speech_like
 
 FS = 48000
@@ -219,11 +220,11 @@ class TestManifest:
         assert manifest.p_noise_free == 0.1
         assert len(manifest.entries) == 2
         first, second = manifest.entries
-        assert first.rir_path == "rir.wav" and first.snr_db == 10.0
-        assert first.seed == 7 and first.entry_id == "first"
+        assert first.rir == "rir.wav" and first.snr == 10.0
+        assert first.seed == 7 and first.id == "first"
         assert first.strategy is Strategy.ATTENUATED_DECAYED
-        assert second.rir_synth == RirSynthSpec(rt60=0.6, n_early=4)
-        assert second.snr_db is None and second.rd == 0.15
+        assert (second.rir_rt60, second.rir_n_early, second.rir_length) == (0.6, 4, None)
+        assert second.snr is None and second.rd == 0.15
 
     def test_round_trip_through_text(self):
         manifest = parse_manifest(MANIFEST_TEXT)
@@ -263,7 +264,7 @@ class TestManifest:
         example = readme.split("## Manifest format", 1)[1].split("```")[1]
         manifest = parse_manifest(example)
         assert manifest.seed == 42
-        assert manifest.entries[0].rir_path == "rooms/hall.wav"
+        assert manifest.entries[0].rir == "rooms/hall.wav"
 
     def test_section_names_ignore_case(self):
         manifest = parse_manifest("[GLOBAL]\nseed=3\n[Entry]\nspeech=s.wav\nrir=r.wav\n")
@@ -300,6 +301,62 @@ class TestManifest:
             DatasetManifest([], p_noise_free=1.5)
 
 
+def text_floats(lo, hi):
+    """Floats in [lo, hi] that survive the 9 significant digits of the text form."""
+    return st.floats(lo, hi).map(lambda x: float(format(x, ".9g")))
+
+
+PATHS = st.text("ab/._ -#=[]", min_size=1, max_size=6).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def manifests(draw):
+    """Valid manifests: both room kinds, every optional key set or unset."""
+    def maybe(values):
+        return draw(st.none() | values)
+
+    snr_min, snr_max = draw(text_floats(-20.0, 0.0)), draw(text_floats(1.0, 60.0))
+    entries = []
+    for i in range(draw(st.integers(0, 3))):
+        rt60 = maybe(text_floats(0.05, 3.0))
+        entries.append(ManifestEntry(
+            speech=draw(PATHS), noise=maybe(PATHS),
+            rir=draw(PATHS) if rt60 is None else None, rir_rt60=rt60,
+            rir_n_early=None if rt60 is None else maybe(st.integers(0, 20)),
+            rir_length=None if rt60 is None else maybe(text_floats(rt60, 6.0)),
+            snr=maybe(text_floats(snr_min, snr_max)), strategy=draw(st.sampled_from(Strategy)),
+            t0=maybe(text_floats(0.0, 0.019)), t1=maybe(text_floats(0.03, 0.2)),
+            alpha=maybe(text_floats(0.0, 1.0)), rd=maybe(text_floats(0.01, 2.0)),
+            seed=maybe(st.integers(0, 2 ** 63 - 1)),
+            id=maybe(SAFE_IDS.map(lambda s: f"{s}{i}"))))  # the index keeps ids distinct
+    return DatasetManifest(entries, seed=draw(st.integers(0, 2 ** 63 - 1)),
+                           snr_min=snr_min, snr_max=snr_max,
+                           p_noise_free=draw(text_floats(0.0, 1.0)))
+
+
+class TestManifestSchema:
+    def test_keys_are_the_fields(self):
+        assert list(ENTRY_KEYS) == [f.name for f in fields(ManifestEntry)]
+        assert list(GLOBAL_KEYS) == [f.name for f in fields(DatasetManifest)
+                                     if f.name != "entries"]
+
+    def test_unknown_attribute_cannot_be_set(self):
+        entry = ManifestEntry(speech="s.wav", rir="r.wav")
+        with pytest.raises(AttributeError):
+            entry.rir_path = "other.wav"
+        with pytest.raises(AttributeError):
+            DatasetManifest().snr_range = (0.0, 1.0)
+
+    @given(manifests())
+    @settings(max_examples=60, deadline=None)
+    def test_text_round_trip(self, manifest):
+        assert parse_manifest(format_manifest(manifest)) == manifest
+
+    def test_unset_n_early_is_not_written(self):
+        manifest = DatasetManifest([ManifestEntry(speech="s.wav", rir_rt60=0.5)])
+        assert "rir_n_early" not in format_manifest(manifest)
+
+
 UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a=b", "a\nb", "a\rb",
               "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\u2029b",
               "a\tb", "a\x00b", "a\x7fb", "trailing\n", "trailing ", " leading",
@@ -309,14 +366,14 @@ UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a=b", "a\nb", "a\rb",
 class TestEntryIds:
     @pytest.mark.parametrize("entry_id", UNSAFE_IDS)
     def test_unsafe_id_rejected(self, entry_id):
-        entry = ManifestEntry(speech="s.wav", rir_path="r.wav", entry_id=entry_id)
+        entry = ManifestEntry(speech="s.wav", rir="r.wav", id=entry_id)
         with pytest.raises(ManifestError, match="id"):
             entry.validate()
 
     @pytest.mark.parametrize("entry_id", ["ex00001", "room-a_take.2", "..a", "a b",
                                           "h\u00e4ll"])
     def test_safe_id_accepted(self, entry_id):
-        ManifestEntry(speech="s.wav", rir_path="r.wav", entry_id=entry_id).validate()
+        ManifestEntry(speech="s.wav", rir="r.wav", id=entry_id).validate()
 
     @pytest.mark.parametrize("line", ["id=../escaped", "id=a=b", "id=a/b", "id=.."])
     def test_unsafe_id_rejected_at_parse(self, line):
@@ -345,9 +402,8 @@ def small_manifest(corpus, n_entries=3):
         entries.append(ManifestEntry(
             speech=str(corpus / "sp.wav"),
             noise=str(corpus / "no.wav"),
-            rir_path=str(corpus / "rir.wav") if i % 2 == 0 else None,
-            rir_synth=None if i % 2 == 0 else RirSynthSpec(rt60=0.3 + 0.1 * i),
-            snr_db=None,
+            rir=str(corpus / "rir.wav") if i % 2 == 0 else None,
+            rir_rt60=None if i % 2 == 0 else 0.3 + 0.1 * i,
             strategy=list(Strategy)[i % 4]))
     return DatasetManifest(entries, seed=99)
 
@@ -420,17 +476,43 @@ class TestBuildDataset:
 
     def test_direct_entries_validated_before_any_write(self, corpus):
         manifest = small_manifest(corpus)
-        manifest.entries[1].rir_synth = RirSynthSpec(rt60=9.0)
+        manifest.entries[1].rir_rt60 = 9.0
         with pytest.raises(ManifestError, match="entry 1"):
             build_dataset(manifest, corpus / "out")
         assert not (corpus / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("rir_n_early", 3), ("rir_length", 0.5)])
+    def test_synth_key_without_rir_rt60_rejected_before_any_write(self, corpus, key, value):
+        manifest = small_manifest(corpus)
+        setattr(manifest.entries[0], key, value)  # entry 0 reads its room from rir=
+        with pytest.raises(ManifestError, match=f"entry 0.*'{key}'"):
+            build_dataset(manifest, corpus / "out")
+        assert not (corpus / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("snr_min", 50.0), ("p_noise_free", -0.1)])
+    def test_reassigned_global_rejected_before_any_write(self, corpus, key, value):
+        manifest = small_manifest(corpus)
+        setattr(manifest, key, value)
+        with pytest.raises(ManifestError, match=key):
+            build_dataset(manifest, corpus / "out")
+        assert not (corpus / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bug_propagates(self, corpus, monkeypatch, workers):
+        def broken(*args):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(pipeline, "generate_example", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            build_dataset(small_manifest(corpus), corpus / "out", workers=workers)
+        assert not (corpus / "out" / "summary.txt").exists()
 
     @pytest.mark.parametrize("ids", [("dup", "dup", None), ("ex00001", None, None),
                                      (None, None, "ex00000")])
     def test_duplicate_resolved_ids_rejected(self, corpus, ids):
         manifest = small_manifest(corpus)
         for entry, entry_id in zip(manifest.entries, ids):
-            entry.entry_id = entry_id
+            entry.id = entry_id
         with pytest.raises(ManifestError, match="id"):
             build_dataset(manifest, corpus / "out")
         assert not (corpus / "out").exists()
@@ -438,7 +520,7 @@ class TestBuildDataset:
     @pytest.mark.parametrize("entry_id", UNSAFE_IDS)
     def test_unsafe_id_writes_nothing(self, corpus, entry_id):
         manifest = small_manifest(corpus)
-        manifest.entries[0].entry_id = entry_id
+        manifest.entries[0].id = entry_id
         with pytest.raises(ManifestError):
             build_dataset(manifest, corpus / "out")
         assert sorted(p.name for p in corpus.iterdir()) == ["no.wav", "rir.wav",
@@ -499,8 +581,8 @@ class TestSummaryProperties:
                     speech.write_bytes(b"not a wave file")
                 elif kind == "good":
                     speech = inputs / "sp.wav"
-                entry = ManifestEntry(speech=str(speech), rir_synth=RirSynthSpec(rt60=0.2),
-                                      entry_id=id_spec and id_spec[0])
+                entry = ManifestEntry(speech=str(speech), rir_rt60=0.2,
+                                      id=id_spec and id_spec[0])
                 entries.append(entry)
                 expected[entry.resolved_id(i)] = (kind, str(speech))
             made = sorted(inputs.rglob("*"))

@@ -318,6 +318,16 @@ class TestRirFiles:
         assert np.allclose(back.taps, h.taps, atol=1e-7)  # float32 carrier
         assert (tmp_path / "h.wav.meta.txt").exists()
 
+    @pytest.mark.parametrize("value", ["16000", "48000.0", "fast"])
+    def test_sidecar_sample_rate_must_match_the_wav(self, tmp_path, value):
+        path = tmp_path / "h.wav"
+        write_rir(synth_rir(0.3, seed=9), path)
+        sidecar = tmp_path / "h.wav.meta.txt"
+        sidecar.write_text(f"direct_index=0\nsample_rate={value}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match="sample_rate") as raised:
+            read_rir(path)
+        assert str(sidecar) in str(raised.value)
+
     def test_direct_detected_without_sidecar(self, tmp_path):
         taps = np.zeros(100)
         taps[7] = -0.9
