@@ -343,7 +343,7 @@ class TestManifestSchema:
     def test_unknown_attribute_cannot_be_set(self):
         entry = ManifestEntry(speech="s.wav", rir="r.wav")
         with pytest.raises(AttributeError):
-            entry.rir_path = "other.wav"
+            entry.room = "other.wav"
         with pytest.raises(AttributeError):
             DatasetManifest().snr_range = (0.0, 1.0)
 
