@@ -7,10 +7,11 @@ sample rate fixes the whole layout. ``N_BANDS`` (32) band centers are
 spaced uniformly on the ERB-rate scale between 0 Hz and Nyquist; each FFT bin splits its
 unit weight between the two neighboring bands (a partition of unity), so
 per-band energies sum back to the spectrum's energy. Band gains are
-target/mixture energy ratios clamped to [0, 1], and can be interpolated
-back onto bins either with the triangular weights (production) or by
-band ownership (rectangular, which makes the gains-to-energies loop an
-exact identity).
+target/mixture energy ratios clamped to [0, 1]. ``apply_gains``
+interpolates them back onto bins with the weights of the filterbank it
+is given: the triangular design (production) or its ``rectangularized``
+copy, where each bin takes the gain of the band that owns it, which
+makes the gains-to-energies loop an exact identity.
 
 Products against the weights go through a sparse copy of them rather
 than a dense BLAS matmul: each bin has only two nonzero weights, and a
@@ -35,8 +36,6 @@ N_BANDS = 32
 ENERGY_FLOOR = 1e-9
 ERB_RATE_SCALE = 21.4
 ERB_RATE_KNEE = 0.00437
-
-APPLY_MODES = ("triangular", "rectangular")
 
 
 def erb_rate(freq_hz):
@@ -70,15 +69,10 @@ class Filterbank:
         """``weights`` as a CSR array, for products that avoid BLAS."""
         return csr_array(self.weights)
 
-    def bin_owners(self) -> np.ndarray:
-        """Index of the band holding each bin's peak weight."""
-        return np.argmax(self.weights, axis=0)
-
     def rectangularized(self) -> "Filterbank":
-        """0/1 ownership weights; still a partition of unity."""
-        owners = self.bin_owners()
+        """0/1 weights giving each bin to its peak-weight band; still a partition of unity."""
         weights = np.zeros_like(self.weights)
-        weights[owners, np.arange(self.n_bins)] = 1.0
+        weights[np.argmax(self.weights, axis=0), np.arange(self.n_bins)] = 1.0
         return Filterbank(weights, self.band_centers, self.sample_rate)
 
 
@@ -147,6 +141,12 @@ class BandMatrix:
         return self.values.shape[1]
 
 
+def _check_same_rate(spectra: FrameSpectra, fb: Filterbank) -> None:
+    if spectra.sample_rate != fb.sample_rate:
+        raise SampleRateMismatchError(
+            f"spectra at {spectra.sample_rate} Hz vs filterbank at {fb.sample_rate} Hz")
+
+
 def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
     """Weighted L2 norm of each frame's spectrum inside each band.
 
@@ -154,9 +154,7 @@ def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
     weights partition unity, the squared band energies of a frame sum
     to the frame's total spectral energy.
     """
-    if spectra.sample_rate != fb.sample_rate:
-        raise SampleRateMismatchError(
-            f"spectra at {spectra.sample_rate} Hz vs filterbank at {fb.sample_rate} Hz")
+    _check_same_rate(spectra, fb)
     power = np.abs(spectra.frames) ** 2
     return BandMatrix(np.sqrt(fb.sparse_weights.dot(power.T).T), "energy")
 
@@ -185,16 +183,14 @@ def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True) -> Ba
     return BandMatrix(gains, "gain")
 
 
-def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix, fb: Filterbank,
-                mode: str = "triangular") -> FrameSpectra:
-    """Scale each bin by its band gains, preserving phase.
+def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix,
+                fb: Filterbank) -> FrameSpectra:
+    """Scale each bin by its band gains interpolated with ``fb``'s weights, preserving phase.
 
-    Triangular mode interpolates per-bin gains with the filterbank
-    weights; rectangular mode gives every bin the gain of the band that
-    owns it (peak weight).
+    Pass ``fb.rectangularized()`` to give every bin the gain of the band
+    that owns it.
     """
-    if mode not in APPLY_MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {APPLY_MODES}")
+    _check_same_rate(noisy_spectra, fb)
     if gains.n_bands != fb.n_bands:
         raise ShapeMismatchError(f"{gains.n_bands} gain bands vs {fb.n_bands} filter bands")
     if gains.n_frames != noisy_spectra.n_frames:
@@ -203,17 +199,18 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix, fb: Filterbank,
     if noisy_spectra.n_bins != fb.n_bins:
         raise ShapeMismatchError(
             f"{noisy_spectra.n_bins} spectrum bins vs {fb.n_bins} filterbank bins")
-    if mode == "triangular":
-        per_bin = fb.sparse_weights.T.dot(gains.values.T).T
-    else:
-        per_bin = gains.values[:, fb.bin_owners()]
+    per_bin = fb.sparse_weights.T.dot(gains.values.T).T
     return replace(noisy_spectra, frames=noisy_spectra.frames * per_bin)
 
 
 # --- serialization -----------------------------------------------------------
 
-def write_band_matrix_csv(matrix: BandMatrix, path, fb: Filterbank) -> None:
-    """CSV with one row per frame, 9 significant digits, ``fb``'s centers in the header."""
+def write_band_matrix_csv(matrix: BandMatrix, path, sample_rate: int) -> None:
+    """CSV with one row per frame, 9 significant digits, band centers in the header.
+
+    The centers are those of the filterbank designed for ``sample_rate``.
+    """
+    fb = design_erb_filterbank(sample_rate)
     if fb.n_bands != matrix.n_bands:
         raise ShapeMismatchError(f"{matrix.n_bands} columns vs {fb.n_bands} band centers")
     row_format = ",".join(["%.9g"] * matrix.n_bands)

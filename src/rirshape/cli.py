@@ -131,16 +131,17 @@ def cmd_gains(args) -> int:
     noisy = wavio.read_wav(args.input)
     # one file named twice is read once, so pair_gains analyzes it once
     target = noisy if _same_file(args.input, args.target) else wavio.read_wav(args.target)
-    gains, fb, noisy_spectra = pipeline.pair_gains(noisy, target)
+    gains, noisy_spectra = pipeline.pair_gains(noisy, target)
     suffix = ".gains.f32" if args.binary else ".gains.csv"
     out = _out_path(args.out, Path(args.input).stem + suffix)
-    if args.binary:
-        bands.write_band_matrix_raw(gains, out, noisy.sample_rate)
-    else:
-        bands.write_band_matrix_csv(gains, out, fb)
+    write = bands.write_band_matrix_raw if args.binary else bands.write_band_matrix_csv
+    write(gains, out, noisy.sample_rate)
     print(f"wrote {out}")
     if args.apply_out:
-        filtered = bands.apply_gains(noisy_spectra, gains, fb, mode=args.mode)
+        fb = bands.design_erb_filterbank(noisy.sample_rate)
+        if args.mode == "rectangular":
+            fb = fb.rectangularized()
+        filtered = bands.apply_gains(noisy_spectra, gains, fb)
         wavio.write_wav(dsp.synthesize(filtered), args.apply_out)
         print(f"wrote {args.apply_out}")
     return 0
@@ -246,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--binary", action="store_true",
                    help="write raw float32 + sidecar instead of CSV")
-    p.add_argument("--mode", default="triangular", choices=bands.APPLY_MODES)
+    p.add_argument("--mode", default="triangular", choices=("triangular", "rectangular"),
+                   help="filterbank that applies the gains for --apply-out: its "
+                        "triangular weights or its rectangularized band ownership")
     p.add_argument("--apply-out", default=None,
                    help="also apply the gains and write the filtered WAV here")
     p.set_defaults(func=cmd_gains)

@@ -134,8 +134,8 @@ def frame_lengths(sample_rate: int) -> tuple[int, int]:
 class FrameSpectra:
     """One-sided complex spectra of overlapping analysis frames.
 
-    Window, hop and FFT follow the module's fixed profile at
-    ``sample_rate``, so ``frames`` has shape (n_frames, window_samples // 2 + 1).
+    Window, hop and FFT follow ``frame_lengths(sample_rate)``, so
+    ``frames`` has shape (n_frames, window // 2 + 1).
     """
 
     frames: np.ndarray
@@ -146,7 +146,7 @@ class FrameSpectra:
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise MalformedSpectraError("frames must be a non-empty 2-D array")
-        if frames.shape[1] != self.window_samples // 2 + 1:
+        if frames.shape[1] != frame_lengths(self.sample_rate)[0] // 2 + 1:
             raise MalformedSpectraError(
                 f"{frames.shape[1]} bins inconsistent with {self.sample_rate} Hz frames")
 
@@ -157,14 +157,6 @@ class FrameSpectra:
     @property
     def n_bins(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def window_samples(self) -> int:
-        return frame_lengths(self.sample_rate)[0]
-
-    @property
-    def hop_samples(self) -> int:
-        return frame_lengths(self.sample_rate)[1]
 
 
 def power_complementary_window(length: int) -> np.ndarray:

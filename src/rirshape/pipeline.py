@@ -23,8 +23,8 @@ import numpy as np
 
 from . import kvtext
 from .acoustics import estimate_rt60
-from .bands import (BandMatrix, Filterbank, band_energies, design_erb_filterbank,
-                    ideal_gains, write_band_matrix_csv)
+from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gains,
+                    write_band_matrix_csv)
 from .dsp import DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, analyze, convolve, mix_at_snr
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      UndefinedDecayError)
@@ -70,6 +70,11 @@ class ManifestEntry:
         return self.id if self.id is not None else f"ex{index:05d}"
 
     def validate(self) -> None:
+        """Raise ManifestError for a bad value; a strategy name becomes its Strategy."""
+        try:
+            self.strategy = Strategy(self.strategy)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
         if self.id is not None:
             _check_entry_id(self.id)
         stray = [key for key in ("rir_n_early", "rir_length") if getattr(self, key) is not None]
@@ -165,16 +170,12 @@ def sample_entry_randomness(global_seed: int, entry_index: int,
 
 @dataclass
 class Example:
-    """A generated training pair plus its gain matrix and provenance.
-
-    ``filterbank`` is the one the gains were computed with.
-    """
+    """A generated training pair plus its gain matrix and provenance."""
 
     input: Signal
     target: Signal
     gains: BandMatrix
     metadata: dict
-    filterbank: Filterbank
 
 
 def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
@@ -212,7 +213,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     else:
         mixture, noise_gain = reverberant, 0.0
 
-    gains, fb, _ = pair_gains(mixture, target)
+    gains, _ = pair_gains(mixture, target)
 
     try:
         rt60_input = estimate_rt60(h0)
@@ -230,16 +231,15 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
         "n_frames": gains.n_frames,
         "sample_rate": speech.sample_rate,
     }
-    return Example(mixture, target, gains, metadata, fb)
+    return Example(mixture, target, gains, metadata)
 
 
-def pair_gains(input: Signal,
-               target: Signal) -> tuple[BandMatrix, Filterbank, FrameSpectra]:
+def pair_gains(input: Signal, target: Signal) -> tuple[BandMatrix, FrameSpectra]:
     """Ideal band gains that turn ``input``'s band energies into ``target``'s.
 
-    Returns the gains, the filterbank they were computed with (designed
-    for the input's sample rate) and the input's frame spectra, for callers
-    that apply the gains. The two signals must be equally long. A
+    Returns the gains, computed with ``design_erb_filterbank`` at the
+    input's sample rate, and the input's frame spectra, for callers that
+    apply the gains. The two signals must be equally long. A
     signal passed as both input and target, as in a noise-free
     strategy-``none`` example, is analyzed once.
     """
@@ -250,7 +250,7 @@ def pair_gains(input: Signal,
     input_energies = band_energies(input_spectra, fb)
     target_energies = (input_energies if target is input
                        else band_energies(analyze(target), fb))
-    return ideal_gains(target_energies, input_energies), fb, input_spectra
+    return ideal_gains(target_energies, input_energies), input_spectra
 
 
 # --- manifest text format ----------------------------------------------------
@@ -317,7 +317,7 @@ def format_manifest(manifest: DatasetManifest) -> str:
     for entry in manifest.entries:
         record = {key: getattr(entry, key) for key in ENTRY_KEYS}
         record.update(snr="sample" if entry.snr is None else entry.snr,
-                      strategy=entry.strategy.value)
+                      strategy=Strategy(entry.strategy).value)
         blocks.append(("entry", record))
     return "\n".join(
         f"[{name}]\n" + kvtext.dump_kv({key: value for key, value in record.items()
@@ -423,7 +423,7 @@ def _process_entry(task) -> EntryResult:
         write_wav(example.input, out / f"{entry_id}.input.wav")
         write_wav(example.target, out / f"{entry_id}.target.wav")
         write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv",
-                              example.filterbank)
+                              example.input.sample_rate)
         metadata = {"entry_id": entry_id, "speech": entry.speech, "noise": entry.noise,
                     "rir": entry.rir or f"synth(rt60={entry.rir_rt60})",
                     **example.metadata}

@@ -133,8 +133,7 @@ def test_criterion_5_gain_oracle():
         x_rect = band_energies(analyze(target), rect)
         y_rect = band_energies(noisy_spectra, rect)
         gains = ideal_gains(x_rect, y_rect, clamp=False)
-        rebuilt = band_energies(
-            apply_gains(noisy_spectra, gains, fb, mode="rectangular"), rect)
+        rebuilt = band_energies(apply_gains(noisy_spectra, gains, rect), rect)
         deviation = np.abs(rebuilt.values - x_rect.values) / np.maximum(x_rect.values, 1e-30)
         worst = max(worst, float(deviation.max()))
         assert deviation.max() < 1e-4, trial

@@ -48,6 +48,12 @@ class TestFilterbankDesign:
             assert support.size > 0
             assert np.array_equal(support, np.arange(support[0], support[-1] + 1))
 
+    def test_one_cached_read_only_design_per_rate(self, fb):
+        assert design_erb_filterbank(FS) is fb
+        for array in (fb.weights, fb.band_centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_rectangularized_partition(self, fb):
         rect = fb.rectangularized()
         assert np.array_equal(rect.weights.sum(axis=0), np.ones(fb.n_bins))
@@ -153,15 +159,15 @@ class TestApplyGains:
     def test_unit_gains_transparent(self, fb):
         spectra = analyze(speech_like(0.2, seed=6))
         ones = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
-        for mode in ("triangular", "rectangular"):
-            out = apply_gains(spectra, ones, fb, mode=mode)
+        for weights in (fb, fb.rectangularized()):
+            out = apply_gains(spectra, ones, weights)
             assert np.allclose(out.frames, spectra.frames, rtol=1e-12)
 
     def test_constant_half_gain(self, fb):
         spectra = analyze(speech_like(0.2, seed=7))
         half = BandMatrix(np.full((spectra.n_frames, 32), 0.5), "gain")
-        for mode in ("triangular", "rectangular"):
-            out = apply_gains(spectra, half, fb, mode=mode)
+        for weights in (fb, fb.rectangularized()):
+            out = apply_gains(spectra, half, weights)
             assert np.allclose(out.frames, 0.5 * spectra.frames, rtol=1e-12)
 
     def test_phase_preserved(self, fb):
@@ -185,8 +191,7 @@ class TestApplyGains:
             x = band_energies(target_spectra, rect)
             y = band_energies(noisy_spectra, rect)
             gains = ideal_gains(x, y, clamp=False)
-            rebuilt = band_energies(apply_gains(noisy_spectra, gains, fb,
-                                                mode="rectangular"), rect)
+            rebuilt = band_energies(apply_gains(noisy_spectra, gains, rect), rect)
             deviation = np.abs(rebuilt.values - x.values) / np.maximum(x.values, 1e-30)
             assert deviation.max() < 1e-4
 
@@ -208,17 +213,28 @@ class TestApplyGains:
         spectra = analyze(speech_like(0.2, seed=12))
         gains = BandMatrix(np.random.default_rng(3).uniform(0.0, 1.0,
                                                             (spectra.n_frames, 32)), "gain")
-        for mode, weights in (("triangular", fb.weights),
-                              ("rectangular", fb.rectangularized().weights)):
-            out = apply_gains(spectra, gains, fb, mode=mode)
-            dense = spectra.frames * (gains.values @ weights)
+        for weights in (fb, fb.rectangularized()):
+            out = apply_gains(spectra, gains, weights)
+            dense = spectra.frames * (gains.values @ weights.weights)
             assert np.allclose(out.frames, dense, rtol=1e-12, atol=0.0)
 
-    def test_bad_mode_rejected(self, fb):
+    def test_rectangularized_gives_each_bin_its_owners_gain(self, fb):
+        # reference: the per-bin gain lookup of the band holding the peak weight
+        spectra = analyze(speech_like(0.2, seed=13))
+        gains = BandMatrix(np.random.default_rng(4).uniform(0.0, 1.0,
+                                                            (spectra.n_frames, 32)), "gain")
+        out = apply_gains(spectra, gains, fb.rectangularized())
+        owners = np.argmax(fb.weights, axis=0)
+        assert np.array_equal(out.frames, spectra.frames * gains.values[:, owners])
+
+    def test_sample_rate_mismatch_rejected(self):
+        # 48050 Hz gives the same 481 bins as 48 kHz, so only the rate tells them apart
         spectra = analyze(speech_like(0.1))
+        other = design_erb_filterbank(48050)
+        assert other.n_bins == spectra.n_bins
         gains = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
-        with pytest.raises(ParameterError):
-            apply_gains(spectra, gains, fb, mode="nearest")
+        with pytest.raises(SampleRateMismatchError):
+            apply_gains(spectra, gains, other)
 
     def test_frame_mismatch_rejected(self, fb):
         spectra = analyze(speech_like(0.1))
@@ -243,7 +259,7 @@ class TestSerialization:
         values = np.random.default_rng(1).uniform(0.0, 1.0, (7, 32))
         matrix = BandMatrix(values, "gain")
         path = tmp_path / "g.csv"
-        write_band_matrix_csv(matrix, path, fb)
+        write_band_matrix_csv(matrix, path, FS)
         back, centers = read_band_matrix_csv(path)
         assert back.role == "gain"
         assert np.allclose(back.values, values, rtol=1e-8)
@@ -252,7 +268,7 @@ class TestSerialization:
     def test_csv_has_single_header_line(self, fb, tmp_path):
         matrix = BandMatrix(np.zeros((2, 32)), "gain")
         path = tmp_path / "g.csv"
-        write_band_matrix_csv(matrix, path, fb)
+        write_band_matrix_csv(matrix, path, FS)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("#") and "band_centers_hz=" in lines[0]
         assert len(lines) == 3
@@ -272,7 +288,7 @@ class TestSerialization:
         expected += [",".join(format(v, ".9g") for v in row) for row in matrix.values]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.csv"
-            write_band_matrix_csv(matrix, path, fb)
+            write_band_matrix_csv(matrix, path, FS)
             assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_raw_round_trip(self, tmp_path):

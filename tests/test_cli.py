@@ -141,6 +141,29 @@ class TestGainsCommand:
         assert np.allclose(rebuilt.samples[:n][interior],
                            original.samples[:n][interior], atol=1e-5)
 
+    def test_rectangular_apply_output(self, tmp_path, capsys):
+        from rirshape import (analyze, apply_gains, band_energies, design_erb_filterbank,
+                              ideal_gains, synthesize)
+        noisy, target = tmp_path / "noisy.wav", tmp_path / "target.wav"
+        clean = speech_like(0.3, seed=5)
+        write_wav(clean, target)
+        write_wav(Signal(clean.samples + 0.1 * noise_like(0.3, seed=6).samples, FS), noisy)
+        for mode in ("triangular", "rectangular"):
+            code, _, _ = run(capsys, "gains", "--input", noisy, "--target", target,
+                             "--out", tmp_path / "g.csv", "--mode", mode,
+                             "--apply-out", tmp_path / f"{mode}.wav")
+            assert code == 0
+        # reference: the library chain with the rectangularized filterbank
+        fb = design_erb_filterbank(FS)
+        noisy_spectra = analyze(read_wav(noisy))
+        gains = ideal_gains(band_energies(analyze(read_wav(target)), fb),
+                            band_energies(noisy_spectra, fb))
+        write_wav(synthesize(apply_gains(noisy_spectra, gains, fb.rectangularized())),
+                  tmp_path / "reference.wav")
+        written = (tmp_path / "rectangular.wav").read_bytes()
+        assert written == (tmp_path / "reference.wav").read_bytes()
+        assert written != (tmp_path / "triangular.wav").read_bytes()
+
     def test_binary_output(self, tmp_path, capsys):
         from rirshape.bands import read_band_matrix_raw
         wav = tmp_path / "s.wav"

@@ -20,7 +20,7 @@ from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterErr
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
                       synthesize)
 from rirshape import dsp
-from rirshape.dsp import RETAIN_FROM_NFFT, FrameSpectra, fit_noise_length
+from rirshape.dsp import RETAIN_FROM_NFFT, FrameSpectra, fit_noise_length, frame_lengths
 from rirshape.shaping import Rir
 
 FS = 48000
@@ -55,8 +55,7 @@ def fancy_index_framing(signal):
 
 def loop_overlap_add(spectra):
     """The frame-by-frame overlap-add ``synthesize`` used before strided groups."""
-    win = spectra.window_samples
-    hop = spectra.hop_samples
+    win, hop = frame_lengths(spectra.sample_rate)
     window = power_complementary_window(win)
     frames_t = np.fft.irfft(spectra.frames, n=win, axis=1)
     frames_t = frames_t * window
@@ -254,8 +253,8 @@ class TestAnalyzeSynthesize:
     def test_one_second_gives_99_frames(self):
         spectra = analyze(Signal(np.random.default_rng(0).standard_normal(FS), FS))
         assert spectra.n_frames == 99
-        assert spectra.window_samples == 960 and spectra.n_bins == 481
-        assert spectra.hop_samples == 480
+        assert frame_lengths(spectra.sample_rate) == (960, 480)
+        assert spectra.n_bins == 481
 
     def test_dc_bin0_equals_window_sum(self):
         spectra = analyze(Signal(np.ones(FS // 10), FS))

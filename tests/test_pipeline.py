@@ -10,8 +10,8 @@ from scipy import stats
 from scipy.signal import fftconvolve
 
 from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Strategy,
-                      analyze, band_energies, build_dataset, estimate_rt60,
-                      generate_example, ideal_gains, mix_at_snr, parse_manifest,
+                      analyze, band_energies, build_dataset, design_erb_filterbank,
+                      estimate_rt60, generate_example, ideal_gains, mix_at_snr, parse_manifest,
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
 from rirshape import dsp, pipeline
@@ -74,7 +74,7 @@ class TestGenerateExample:
         example = generate_example(speech, None, synth_rir(0.4, seed=2),
                                    ShapingParams(Strategy.NONE), None, seed=1)
         assert calls == ["analyze", "band_energies"]
-        fb = example.filterbank
+        fb = design_erb_filterbank(FS)
         reference = ideal_gains(band_energies(analyze(example.target), fb),
                                 band_energies(analyze(example.input), fb))
         assert np.array_equal(example.gains.values, reference.values)
@@ -106,7 +106,7 @@ class TestGenerateExample:
         if noisy:
             offset = int(np.random.default_rng(31).integers(0, 2 ** 31))
             reverberant, _ = mix_at_snr(reverberant, noise, 7.5, noise_offset=offset)
-        fb = example.filterbank
+        fb = design_erb_filterbank(FS)
         gains = ideal_gains(band_energies(analyze(Signal(target, FS)), fb),
                             band_energies(analyze(reverberant), fb))
         assert np.array_equal(example.input.samples, reverberant.samples)
@@ -266,6 +266,14 @@ class TestManifest:
         assert manifest.seed == 42
         assert manifest.entries[0].rir == "rooms/hall.wav"
 
+    def test_readme_library_block_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        write_wav(speech_like(1.0, seed=1), tmp_path / "speech.wav")
+        write_wav(noise_like(1.0, seed=2), tmp_path / "noise.wav")
+        monkeypatch.chdir(tmp_path)
+        exec(block.split("```", 1)[0], {})
+
     def test_section_names_ignore_case(self):
         manifest = parse_manifest("[GLOBAL]\nseed=3\n[Entry]\nspeech=s.wav\nrir=r.wav\n")
         assert manifest.seed == 3 and len(manifest.entries) == 1
@@ -355,6 +363,11 @@ class TestManifestSchema:
     def test_unset_n_early_is_not_written(self):
         manifest = DatasetManifest([ManifestEntry(speech="s.wav", rir_rt60=0.5)])
         assert "rir_n_early" not in format_manifest(manifest)
+
+    def test_strategy_given_as_its_name_is_written(self):
+        manifest = DatasetManifest([ManifestEntry(speech="s.wav", rir_rt60=0.5,
+                                                  strategy="none")])
+        assert "strategy=none" in format_manifest(manifest).splitlines()
 
 
 UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a=b", "a\nb", "a\rb",
@@ -489,6 +502,21 @@ class TestBuildDataset:
             build_dataset(manifest, corpus / "out")
         assert not (corpus / "out").exists()
 
+    def test_strategy_given_as_its_name_fails_only_its_entry(self, corpus):
+        entry = ManifestEntry(speech=str(corpus / "missing.wav"), rir_rt60=0.3,
+                              strategy="none")
+        summary = build_dataset(DatasetManifest([entry]), corpus / "out")
+        assert summary.n_failed == 1
+        assert summary.failures()[0].reason.startswith("FileNotFoundError: ")
+        assert summary.failures()[0].strategy == "none"
+
+    def test_unknown_strategy_rejected_before_any_write(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.entries[2].strategy = "magic"
+        with pytest.raises(ManifestError, match="entry 2.*'magic'"):
+            build_dataset(manifest, corpus / "out")
+        assert not (corpus / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("snr_min", 50.0), ("p_noise_free", -0.1)])
     def test_reassigned_global_rejected_before_any_write(self, corpus, key, value):
         manifest = small_manifest(corpus)
@@ -525,14 +553,6 @@ class TestBuildDataset:
             build_dataset(manifest, corpus / "out")
         assert sorted(p.name for p in corpus.iterdir()) == ["no.wav", "rir.wav",
                                                               "rir.wav.meta.txt", "sp.wav"]
-
-    def test_entries_reuse_one_cached_filterbank(self, speech):
-        first = generate_example(speech, None, synth_rir(0.4, seed=1),
-                                 ShapingParams(Strategy.ATTENUATED_DECAYED), None, seed=0)
-        second = generate_example(speech, None, synth_rir(0.7, seed=2),
-                                  ShapingParams(Strategy.ATTENUATED_DECAYED), None, seed=1)
-        assert first.filterbank is second.filterbank
-        assert first.filterbank.n_bands == first.gains.n_bands
 
     def test_sampled_snr_comes_from_entry_stream(self, corpus):
         from rirshape.kvtext import load_kv
