@@ -89,8 +89,8 @@ def drr(h: Rir, boundary: float) -> float:
     t measured from the direct-path peak. Returns +inf when there is no
     late energy (fully dry response) rather than raising.
     """
-    if boundary <= 0.0:
-        raise ParameterError(f"boundary must be positive, got {boundary}")
+    if not 0.0 < boundary < math.inf:
+        raise ParameterError(f"boundary must be positive and finite, got {boundary}")
     split = h.direct_index + int(np.ceil(boundary * h.sample_rate))
     early = float(np.sum(h.taps[:split] ** 2))
     late = float(np.sum(h.taps[split:] ** 2))

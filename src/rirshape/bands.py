@@ -252,12 +252,12 @@ def write_band_matrix_raw(matrix: BandMatrix, path, sample_rate: int) -> None:
         "sample_rate": sample_rate,
         "frame_advance_ms": FRAME_ADVANCE_MS,
         "dtype": "float32le",
-    }, f"{path}.meta.txt")
+    }, kvtext.sidecar_path(path))
 
 
 def read_band_matrix_raw(path) -> tuple[BandMatrix, dict]:
     """Read a matrix written by :func:`write_band_matrix_raw`."""
-    meta = kvtext.load_kv(f"{path}.meta.txt")
+    meta = kvtext.load_kv(kvtext.sidecar_path(path))
     try:
         frames, bands = int(meta["frames"]), int(meta["bands"])
         values = np.frombuffer(Path(path).read_bytes(), dtype="<f4").reshape(frames, bands)

@@ -13,6 +13,7 @@ RIRSHAPE_OUT_DIR sets the fallback output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -170,6 +171,9 @@ def cmd_plot_data(args) -> int:
         duration = params.t0 + 2.0 * params.rd
     else:
         duration = 0.4
+    for name, value in (("step", args.step), ("rt60", args.rt60), ("duration", duration)):
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"--{name} must be positive and finite, got {value}")
     t = np.arange(int(round(duration / args.step)) + 1) * args.step
 
     if args.function == "D":

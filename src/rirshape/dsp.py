@@ -7,11 +7,9 @@ at the signal's own sample rate, with an FFT as long as the window
 (960/480 samples and 481 bins at 48 kHz). Every operation is a pure
 function over immutable inputs and is safe to call concurrently.
 
-``convolve`` takes one impulse response or a list of equal-length ones;
-the list form transforms the signal once and derives every product from
-that one spectrum, bit-identical to convolving with each response in
-turn (``scipy.signal.fftconvolve``, including its rule that a one-tap
-response or a one-sample signal is an exact scale).
+``Signal`` is the one waveform type: an impulse response (``shaping.Rir``)
+is a Signal with a direct-path index. ``convolve`` transforms a signal
+once for a whole list of equal-length responses.
 
 The first time ``convolve`` runs a transform of at least
 ``RETAIN_FROM_NFFT`` (2^18) points, it tells glibc's allocator, once and
@@ -89,7 +87,7 @@ class Signal:
     """A finite mono waveform, full-scale amplitude +-1.0.
 
     Samples are stored as float64. Construction rejects empty, NaN or
-    Inf data and nonpositive sample rates.
+    Inf data and sample rates that are not positive.
     """
 
     samples: np.ndarray
@@ -98,7 +96,7 @@ class Signal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
         if samples.ndim != 1 or samples.size < 1:
             raise ParameterError("signal must be a non-empty 1-D array")
@@ -275,47 +273,32 @@ def _run_split(calls, threads: int) -> list:
     return results
 
 
-def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
-    """Linearly convolve a signal with one or several impulse responses.
+def convolve(x: Signal, responses: list[Signal],
+             length: int | None = None) -> list[Signal]:
+    """Linearly convolve ``x`` with each response; one Signal per response, in order.
 
-    Parameters
-    ----------
-    x : Signal
-        Input waveform.
-    h : Rir or Signal, or a list of them
-        Impulse response(s); each must share the sample rate of ``x``.
-        A list must hold responses of one length and gives a list of
-        Signals, one per response; a single response gives one Signal.
-    method : str
-        ``fft`` (default) for the fast transform-domain path or
-        ``direct`` for the O(N*M) multiply-accumulate path. Both paths
-        produce the same full-length (len(x) + len(h) - 1) output to
-        within rounding.
-    length : int, optional
-        Keep only the first ``length`` output samples (all of them when
-        ``length`` is None or beyond the full length).
+    The responses (Signals or Rirs) must share one length and the sample
+    rate of ``x``; a single response is a list of one,
+    ``convolve(x, [h])[0]``. Only the first ``length`` output samples are
+    kept (all len(x) + len(h) - 1 when ``length`` is None or beyond that).
 
-    The fft path transforms ``x`` once, whatever the number of
-    responses, and is bit-identical to ``scipy.signal.fftconvolve`` per
-    response: the same fast transform size, the signal's spectrum as the
-    first product operand, and a one-tap response (or a one-sample
-    signal) applied as an exact scale instead of a transform round trip.
-    A transform of ``RETAIN_FROM_NFFT`` points or more turns on the
-    process-wide allocator setting and may run its forward transforms on
-    two threads, both described in the module docstring.
+    ``x`` is transformed once, whatever the number of responses, and each
+    product is bit-identical to ``scipy.signal.fftconvolve``: the same
+    fast transform size, the signal's spectrum as the first product
+    operand, and a one-tap response (or a one-sample signal) applied as an
+    exact scale instead of a transform round trip. A transform of
+    ``RETAIN_FROM_NFFT`` points or more turns on the process-wide
+    allocator setting and may run its forward transforms on two threads,
+    both described in the module docstring.
     """
-    many = isinstance(h, (list, tuple))
-    responses = list(h) if many else [h]
     if not responses:
         raise ParameterError("need at least one impulse response")
-    taps = []
     for response in responses:
         if x.sample_rate != response.sample_rate:
             raise SampleRateMismatchError(
                 f"signal at {x.sample_rate} Hz vs impulse response at "
                 f"{response.sample_rate} Hz")
-        response_taps = getattr(response, "taps", None)
-        taps.append(response.samples if response_taps is None else response_taps)
+    taps = [response.samples for response in responses]
     n_taps = taps[0].size
     if any(t.size != n_taps for t in taps):
         raise ParameterError(
@@ -325,23 +308,17 @@ def convolve(x: Signal, h, method: str = "fft", length: int | None = None):
         raise ParameterError(f"length must be at least 1, got {length}")
     n_out = full if length is None else min(length, full)
 
-    if method == "fft":
-        if len(x) == 1 or n_taps == 1:
-            rows = [(x.samples * t)[:n_out] for t in taps]
-        else:
-            nfft = sp_fft.next_fast_len(full, real=True)
-            spectrum, products = _run_split(
-                [lambda: sp_fft.rfft(x.samples, nfft),
-                 lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)],
-                _transform_threads(nfft))
-            np.multiply(spectrum, products, out=products)
-            rows = sp_fft.irfft(products, nfft, axis=1, overwrite_x=True)[:, :n_out]
-    elif method == "direct":
-        rows = [np.convolve(x.samples, t, mode="full")[:n_out] for t in taps]
+    if len(x) == 1 or n_taps == 1:
+        rows = [(x.samples * t)[:n_out] for t in taps]
     else:
-        raise ParameterError(f"unknown convolution method {method!r}")
-    out = [Signal(row, x.sample_rate) for row in rows]
-    return out if many else out[0]
+        nfft = sp_fft.next_fast_len(full, real=True)
+        spectrum, products = _run_split(
+            [lambda: sp_fft.rfft(x.samples, nfft),
+             lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)],
+            _transform_threads(nfft))
+        np.multiply(spectrum, products, out=products)
+        rows = sp_fft.irfft(products, nfft, axis=1, overwrite_x=True)[:, :n_out]
+    return [Signal(row, x.sample_rate) for row in rows]
 
 
 def fit_noise_length(noise: Signal, length: int, offset: int = 0) -> Signal:

@@ -74,6 +74,10 @@ def read_text(path) -> str:
         raise KvFormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+def sidecar_path(path) -> str:  # the record that describes the file at ``path``
+    return f"{path}.meta.txt"
+
+
 def load_kv(path) -> dict[str, str]:
     return parse_kv(read_text(path))
 

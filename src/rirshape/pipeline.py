@@ -28,8 +28,8 @@ from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gain
 from .dsp import DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, analyze, convolve, mix_at_snr
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      UndefinedDecayError)
-from .shaping import (DEFAULT_N_EARLY, Rir, ShapingParams, Strategy, check_synth_args,
-                      read_rir, shape_rir, synth_rir)
+from .shaping import (Rir, ShapingParams, Strategy, check_synth_args, read_rir, shape_rir,
+                      synth_rir)
 from .wavio import read_wav, write_wav
 
 DEFAULT_SNR_RANGE = (-5.0, 45.0)
@@ -112,8 +112,8 @@ class DatasetManifest:
     p_noise_free: float = DEFAULT_P_NOISE_FREE
 
     def __post_init__(self):
-        if not self.snr_min < self.snr_max:
-            raise ManifestError(f"snr_min must be below snr_max, got {self.snr_range}")
+        if not -math.inf < self.snr_min < self.snr_max < math.inf:
+            raise ManifestError(f"need finite snr_min < snr_max, got {self.snr_range}")
         if not 0.0 <= self.p_noise_free <= 1.0:
             raise ManifestError(f"p_noise_free must lie in [0, 1], got {self.p_noise_free}")
 
@@ -406,8 +406,7 @@ def _process_entry(task) -> EntryResult:
         if entry.rir is not None:
             h0 = read_rir(entry.rir)
         else:
-            n_early = DEFAULT_N_EARLY if entry.rir_n_early is None else entry.rir_n_early
-            h0 = synth_rir(entry.rir_rt60, length=entry.rir_length, n_early=n_early,
+            h0 = synth_rir(entry.rir_rt60, length=entry.rir_length, n_early=entry.rir_n_early,
                            seed=resolved_seed, sample_rate=speech.sample_rate)
 
         # the sampled noise-free flag only applies to entries whose SNR is

@@ -21,6 +21,7 @@ so recorded responses with pre-delay keep their leading taps unshaped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,7 +96,7 @@ class ShapingParams:
             raise ParameterError(f"need t1 > t0 >= 0, got t0={self.t0}, t1={self.t1}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.rd <= 0.0:
+        if not self.rd > 0.0:
             raise ParameterError(f"rd must be positive, got {self.rd}")
 
     def as_dict(self) -> dict:
@@ -117,37 +118,30 @@ class ShapingParams:
 
 
 @dataclass(frozen=True)
-class Rir:
-    """An impulse response with an identified direct-path index."""
+class Rir(Signal):
+    """An impulse response: a Signal whose samples are its taps, plus a direct-path index."""
 
-    taps: np.ndarray
-    sample_rate: int
     direct_index: int = 0
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        object.__setattr__(self, "taps", taps)
-        if self.sample_rate <= 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
-        if taps.ndim != 1 or taps.size < 1:
-            raise ParameterError("taps must be a non-empty 1-D array")
-        if not np.all(np.isfinite(taps)):
-            raise ParameterError("taps contain NaN or Inf")
-        if not 0 <= self.direct_index < taps.size:
+        super().__post_init__()
+        if not 0 <= self.direct_index < self.samples.size:
             raise ParameterError(
-                f"direct_index {self.direct_index} outside [0, {taps.size})")
-        if not np.any(taps != 0.0):
+                f"direct_index {self.direct_index} outside [0, {self.samples.size})")
+        if not np.any(self.samples != 0.0):
             raise DegenerateEnergyError("impulse response has zero total energy")
 
-    def __len__(self) -> int:
-        return self.taps.size
+    @property
+    def taps(self) -> np.ndarray:
+        """The samples, by their impulse-response name."""
+        return self.samples
 
     def times(self) -> np.ndarray:
         """Tap times in seconds, zero at the direct-path peak."""
-        return (np.arange(self.taps.size) - self.direct_index) / self.sample_rate
+        return (np.arange(self.samples.size) - self.direct_index) / self.sample_rate
 
     def energy(self) -> float:
-        return float(np.sum(self.taps ** 2))
+        return float(np.sum(self.samples ** 2))
 
 
 def decay_function(t, params: ShapingParams):
@@ -182,7 +176,11 @@ def attenuation_function(t, params: ShapingParams):
 
 
 def shaping_gain(t, params: ShapingParams):
-    """Combined per-tap gain of the strategy's curves at times ``t``."""
+    """Combined per-tap gain of the strategy's curves at times ``t``.
+
+    Exactly 1.0 wherever neither curve applies, so under strategy ``none``
+    every tap is multiplied by one and keeps its bits.
+    """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     gain = np.ones_like(t_arr)
     if params.strategy.uses_decay:
@@ -196,14 +194,10 @@ def shape_rir(h0: Rir, params: ShapingParams) -> Rir:
     """Multiply an impulse response, tap by tap, by its strategy's gain.
 
     Time zero sits at ``h0.direct_index``; taps before it pass through
-    unshaped. Length, sample rate and direct index are preserved. The
-    ``none`` strategy returns a bit-identical copy.
+    unshaped. Length, sample rate and direct index are preserved; the
+    ``none`` strategy's gain is exactly one, so it gives a bit-identical copy.
     """
-    if params.strategy is Strategy.NONE:
-        taps = h0.taps.copy()
-    else:
-        taps = h0.taps * shaping_gain(h0.times(), params)
-    return Rir(taps, h0.sample_rate, h0.direct_index)
+    return Rir(h0.taps * shaping_gain(h0.times(), params), h0.sample_rate, h0.direct_index)
 
 
 def dirac_rir(sample_rate: int = DEFAULT_SAMPLE_RATE) -> Rir:
@@ -217,8 +211,8 @@ def check_synth_args(rt60: float, length: float | None, n_early: int | None,
     if not MIN_SYNTH_RT60 <= rt60 <= MAX_SYNTH_RT60:
         raise ParameterError(
             f"rt60 must lie in [{MIN_SYNTH_RT60}, {MAX_SYNTH_RT60}] s, got {rt60}")
-    if length is not None and length < rt60:
-        raise ParameterError(f"length {length} s shorter than rt60 {rt60} s")
+    if length is not None and not rt60 <= length < math.inf:
+        raise ParameterError(f"length must be finite and >= rt60 {rt60} s, got {length}")
     if not 0.0 < tail_level <= 0.15:
         # keeps the direct tap the peak with overwhelming probability
         raise ParameterError(f"tail_level must lie in (0, 0.15], got {tail_level}")
@@ -226,7 +220,7 @@ def check_synth_args(rt60: float, length: float | None, n_early: int | None,
         raise ParameterError("n_early must be nonnegative")
 
 
-def synth_rir(rt60: float, *, length: float | None = None, n_early: int = DEFAULT_N_EARLY,
+def synth_rir(rt60: float, *, length: float | None = None, n_early: int | None = None,
               seed: int = 0, sample_rate: int = DEFAULT_SAMPLE_RATE,
               tail_level: float = DEFAULT_TAIL_LEVEL) -> Rir:
     """Synthesize a stochastic impulse response with a known decay time.
@@ -239,19 +233,24 @@ def synth_rir(rt60: float, *, length: float | None = None, n_early: int = DEFAUL
     fixed seed.
 
     ``length`` defaults to max(1.5 * rt60, rt60 + 0.3) seconds, enough
-    for the decay measurement to span its full fit range.
+    for the decay measurement to span its full fit range, and
+    ``n_early`` to ``DEFAULT_N_EARLY``.
     """
     check_synth_args(rt60, length, n_early, tail_level)
     if length is None:
         length = max(1.5 * rt60, rt60 + 0.3)
+    if not sample_rate > 0:
+        raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
 
     n = int(round(length * sample_rate))
+    if n <= round(SYNTH_EARLY_WINDOW[1] * sample_rate):
+        raise ParameterError(f"{length} s at {sample_rate} Hz is too short for early reflections")
     rng = np.random.default_rng(seed)
     t = np.arange(n) / sample_rate
     envelope = tail_level * 10.0 ** (-3.0 * t / rt60)
     taps = rng.standard_normal(n) * envelope
     taps[0] = 1.0
-    for _ in range(n_early):
+    for _ in range(DEFAULT_N_EARLY if n_early is None else n_early):
         when = rng.uniform(*SYNTH_EARLY_WINDOW)
         amplitude = rng.uniform(0.1, 0.7) * (1.0 if rng.random() < 0.5 else -1.0)
         taps[int(round(when * sample_rate))] += amplitude
@@ -267,7 +266,7 @@ def predicted_target_rt60(r0: float, rd: float) -> float:
     Always below both ``r0`` and ``rd``; approaches ``rd`` for very
     reverberant rooms.
     """
-    if r0 <= 0.0 or rd <= 0.0:
+    if not (r0 > 0.0 and rd > 0.0):
         raise ParameterError("r0 and rd must be positive")
     return 1.0 / (1.0 / r0 + 1.0 / rd)
 
@@ -278,7 +277,7 @@ def predicted_target_distance(d0: float, alpha: float) -> float:
     Under a free-field 1/d^2 intensity law the shaped response sounds
     as if recorded at alpha * d0.
     """
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ParameterError(f"d0 must be positive, got {d0}")
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
@@ -287,10 +286,6 @@ def predicted_target_distance(d0: float, alpha: float) -> float:
 
 # --- file interface: WAV taps plus a key=value metadata sidecar ---------------
 
-def sidecar_path(path) -> str:
-    return f"{path}.meta.txt"
-
-
 def write_rir(rir: Rir, path, metadata: dict | None = None,
               encoding: str = "float32") -> None:
     """Write taps as mono WAV plus a sidecar with the direct index.
@@ -298,11 +293,11 @@ def write_rir(rir: Rir, path, metadata: dict | None = None,
     ``metadata`` entries (nominal rt60, seed, shaping params, ...) are
     appended to the sidecar record.
     """
-    wavio.write_wav(Signal(rir.taps, rir.sample_rate), path, encoding=encoding)
+    wavio.write_wav(rir, path, encoding=encoding)
     record = {"direct_index": rir.direct_index, "sample_rate": rir.sample_rate}
     if metadata:
         record.update(metadata)
-    kvtext.save_kv(record, sidecar_path(path))
+    kvtext.save_kv(record, kvtext.sidecar_path(path))
 
 
 def read_rir(path) -> Rir:
@@ -312,7 +307,7 @@ def read_rir(path) -> Rir:
     A sidecar's ``sample_rate=`` must match the WAV header.
     """
     signal = wavio.read_wav(path)
-    sidecar = sidecar_path(path)
+    sidecar = kvtext.sidecar_path(path)
     try:
         record = kvtext.load_kv(sidecar)
     except FileNotFoundError:

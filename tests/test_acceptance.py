@@ -93,9 +93,9 @@ def test_criterion_3_full_dereverberation():
             estimate_rt60(shaped)
     speech = speech_like(0.3, seed=1)
     shaped = shape_rir(synth_rir(1.2, seed=0), params)
-    wet = convolve(speech, shaped, method="direct")
+    wet = np.convolve(speech.samples, shaped.taps)
     support_end = len(speech) + shaped.direct_index + round(params.t1 * FS)
-    assert not np.any(wet.samples[support_end + 1:])
+    assert not np.any(wet[support_end + 1:])
     report("PASS criterion 3: full dereverberation zeroes the tail and the "
            "decay is undefined")
 
@@ -124,9 +124,9 @@ def test_criterion_5_gain_oracle():
         h0 = synth_rir(float(rng.uniform(0.15, 0.45)), seed=trial, length=0.5)
         strategy = (Strategy.DECAYED, Strategy.ATTENUATED_DECAYED)[trial % 2]
         params = ShapingParams(strategy)
-        target = convolve(speech, shape_rir(h0, params))
+        target = convolve(speech, [shape_rir(h0, params)])[0]
         target = Signal(target.samples[:len(speech)], FS)
-        reverberant = Signal(convolve(speech, h0).samples[:len(speech)], FS)
+        reverberant = Signal(convolve(speech, [h0])[0].samples[:len(speech)], FS)
         mixture, _ = mix_at_snr(reverberant, noise, float(rng.uniform(0.0, 30.0)))
 
         noisy_spectra = analyze(mixture)
@@ -150,8 +150,8 @@ def test_criterion_6_dsp_oracles():
     for _ in range(100):
         x = Signal(rng.standard_normal(int(rng.integers(8, 4097))), FS)
         h = Rir(rng.standard_normal(int(rng.integers(8, 4097))), FS)
-        fast = convolve(x, h, method="fft").samples
-        direct = convolve(x, h, method="direct").samples
+        fast = convolve(x, [h])[0].samples
+        direct = np.convolve(x.samples, h.taps)
         deviation = np.abs(fast - direct).max() / np.abs(direct).max()
         worst = max(worst, deviation)
         assert deviation < 1e-9
@@ -220,4 +220,4 @@ def test_criterion_8_throughput():
 def test_dirac_is_complete_dereverberation_reference():
     """The unit-impulse response leaves any signal untouched."""
     speech = speech_like(0.2, seed=9)
-    assert np.array_equal(convolve(speech, dirac_rir(FS)).samples, speech.samples)
+    assert np.array_equal(convolve(speech, [dirac_rir(FS)])[0].samples, speech.samples)

@@ -113,6 +113,11 @@ class TestDrr:
         with pytest.raises(ParameterError):
             drr(dirac_rir(FS), boundary=0.0)
 
+    @pytest.mark.parametrize("boundary", [math.nan, math.inf, -math.inf])
+    def test_non_finite_boundary_rejected(self, boundary):
+        with pytest.raises(ParameterError, match="boundary"):
+            drr(dirac_rir(FS), boundary=boundary)
+
 
 class TestVerifyShaping:
     def test_decayed_matches_prediction(self):

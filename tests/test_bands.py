@@ -11,6 +11,7 @@ from rirshape import (BandMatrix, ParameterError, SampleRateMismatchError,
 from rirshape.bands import (erb_rate, read_band_matrix_csv, read_band_matrix_raw,
                             write_band_matrix_csv, write_band_matrix_raw)
 from rirshape.dsp import FrameSpectra
+from rirshape.kvtext import load_kv, sidecar_path
 from conftest import speech_like
 
 FS = 48000
@@ -255,6 +256,12 @@ def test_gains_always_in_unit_interval(seed):
 
 
 class TestSerialization:
+    def test_raw_sidecar_sits_at_the_shared_sidecar_path(self, tmp_path):
+        path = tmp_path / "g.f32"
+        write_band_matrix_raw(BandMatrix(np.ones((3, 4)), "gain"), path, FS)
+        assert sidecar_path(path) == f"{path}.meta.txt"
+        assert load_kv(sidecar_path(path))["frames"] == "3"
+
     def test_csv_round_trip(self, fb, tmp_path):
         values = np.random.default_rng(1).uniform(0.0, 1.0, (7, 32))
         matrix = BandMatrix(values, "gain")

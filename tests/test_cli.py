@@ -358,6 +358,35 @@ class TestConfigAndEnv:
 
 
 class TestMalformedInputs:
+    @pytest.mark.parametrize("argv, named", [
+        (["synth-rir", "--rt60", "0.5", "--length", "nan"], "length"),
+        (["synth-rir", "--rt60", "0.5", "--length", "inf"], "length"),
+        (["synth-rir", "--rt60", "0.5", "--sample-rate", "0"], "sample_rate"),
+        (["synth-rir", "--rt60", "0.5", "--sample-rate", "-5"], "sample_rate"),
+        (["analyze-rir", "{rir}", "--boundary", "nan"], "boundary"),
+        (["analyze-rir", "{rir}", "--boundary", "inf"], "boundary"),
+        (["plot-data", "D", "--step", "0"], "--step"),
+        (["plot-data", "D", "--step", "nan"], "--step"),
+        (["plot-data", "A", "--duration", "nan"], "--duration"),
+        (["plot-data", "shaped-tail", "--rt60", "0"], "--rt60"),
+        (["shape", "{rir}", "--strategy", "decayed", "--rd", "nan"], "rd must"),
+        (["verify", "{rir}", "--strategy", "decayed", "--rd", "nan"], "rd must"),
+        (["make-dataset", "{manifest}"], "length"),
+    ])
+    def test_non_finite_or_nonpositive_flag_is_one_error_line(self, tmp_path, rir_file,
+                                                               monkeypatch, capsys,
+                                                               argv, named):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=nan\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("RIRSHAPE_OUT_DIR", str(out_dir))
+        code, out, err = run(capsys, *(a.format(rir=rir_file, manifest=manifest)
+                                       for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not any(out_dir.iterdir())
+
     def test_bad_direct_index_in_sidecar_is_one_error_line(self, rir_file, capsys):
         sidecar = f"{rir_file}.meta.txt"
         with open(sidecar, "a", encoding="utf-8") as fh:

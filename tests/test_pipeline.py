@@ -254,6 +254,11 @@ class TestManifest:
         "[entry]\nspeech=s.wav\nrir_rt60=0.01\n",
         "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=0.1\n",
         "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_n_early=-3\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=nan\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=inf\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrd=nan\n",
+        "[global]\nsnr_min=-inf\n",
+        "[global]\nsnr_max=inf\n",
     ])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ManifestError):

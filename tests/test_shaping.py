@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from rirshape import (ParameterError, Rir, ShapingParams, Strategy, UndefinedDec
                       estimate_rt60, predicted_target_distance, predicted_target_rt60,
                       read_rir, shape_rir, synth_rir, write_rir)
 from rirshape.dsp import Signal
+from rirshape.shaping import DEFAULT_N_EARLY
 
 FS = 48000
 
@@ -98,9 +101,12 @@ class TestShapeRir:
         self.h0 = synth_rir(0.5, seed=3)
 
     def test_none_is_identity(self):
-        shaped = shape_rir(self.h0, ShapingParams(Strategy.NONE))
-        assert np.array_equal(shaped.taps, self.h0.taps)
-        assert shaped.direct_index == self.h0.direct_index
+        taps = self.h0.taps.copy()
+        taps[-1] = -0.0  # keeps its sign only through an exact identity
+        h0 = Rir(taps, FS, self.h0.direct_index)
+        shaped = shape_rir(h0, ShapingParams(Strategy.NONE))
+        assert shaped.taps.tobytes() == h0.taps.tobytes()
+        assert shaped.direct_index == h0.direct_index
 
     def test_full_zeroes_the_late_tail(self):
         params = ShapingParams(Strategy.FULL)
@@ -152,6 +158,8 @@ class TestShapeRir:
             ShapingParams(Strategy.DECAYED, t0=0.03, t1=0.02)
         with pytest.raises(ParameterError):
             ShapingParams(Strategy.DECAYED, rd=0.0)
+        with pytest.raises(ParameterError):
+            ShapingParams(Strategy.DECAYED, rd=math.nan)
 
 
 class TestStrategyDefaults:
@@ -234,16 +242,24 @@ class TestSynthRir:
     @pytest.mark.parametrize("kwargs", [
         {"rt60": 9.0}, {"rt60": 0.5, "length": 0.1}, {"rt60": 0.5, "n_early": -3},
         {"rt60": 0.5, "tail_level": 0.0}, {"rt60": 0.5, "tail_level": 0.2},
+        {"rt60": 0.5, "length": math.nan}, {"rt60": 0.5, "length": math.inf},
+        {"rt60": 0.5, "sample_rate": 0}, {"rt60": 0.5, "sample_rate": -5},
+        {"rt60": 0.05, "sample_rate": 1},  # 0.35 s rounds to no tap at all
     ])
     def test_out_of_range_arguments_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             synth_rir(**kwargs)
 
+    def test_unset_n_early_is_the_default_count(self):
+        default = synth_rir(0.5, seed=4, n_early=DEFAULT_N_EARLY).taps
+        assert np.array_equal(synth_rir(0.5, seed=4, n_early=None).taps, default)
+        assert np.array_equal(synth_rir(0.5, seed=4).taps, default)
+
 
 class TestDiracRir:
     def test_convolution_identity(self):
         x = Signal(np.arange(1.0, 11.0), FS)
-        assert np.array_equal(convolve(x, dirac_rir(FS)).samples, x.samples)
+        assert np.array_equal(convolve(x, [dirac_rir(FS)])[0].samples, x.samples)
 
     def test_rt60_undefined(self):
         with pytest.raises(UndefinedDecayError):
@@ -294,6 +310,8 @@ class TestPredictions:
             predicted_target_rt60(0.0, 0.2)
         with pytest.raises(ParameterError):
             predicted_target_rt60(1.0, -0.1)
+        with pytest.raises(ParameterError):
+            predicted_target_rt60(math.nan, 0.2)
 
     def test_target_distance_values(self):
         assert predicted_target_distance(2.0, 0.4) == 0.8
@@ -305,6 +323,16 @@ class TestPredictions:
             predicted_target_distance(-1.0, 0.4)
         with pytest.raises(ParameterError):
             predicted_target_distance(1.0, 0.0)
+        with pytest.raises(ParameterError):
+            predicted_target_distance(math.nan, 0.4)
+
+
+class TestRirIsASignal:
+    def test_taps_are_the_samples(self):
+        h = Rir([0.0, 1.0, 0.5], FS, direct_index=1)
+        assert issubclass(Rir, Signal) and isinstance(h, Signal)
+        assert h.taps is h.samples and h.taps.dtype == np.float64
+        assert len(h) == 3 and h.duration == 3 / FS
 
 
 class TestRirFiles:
@@ -345,3 +373,7 @@ class TestRirFiles:
             Rir(np.ones(10), FS, direct_index=10)
         with pytest.raises(ParameterError):
             Rir(np.array([np.inf]), FS)
+        with pytest.raises(ParameterError):
+            Rir([], FS)
+        with pytest.raises(ParameterError):
+            Rir([1.0], 0)
