@@ -13,6 +13,7 @@ RIRSHAPE_OUT_DIR sets the fallback output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from . import acoustics, bands, dsp, kvtext, pipeline, shaping, wavio
 from .errors import ParameterError, RirshapeError
 
 ENV_OUT_DIR = "RIRSHAPE_OUT_DIR"
+MAX_PLOT_ROWS = 10 ** 6  # most rows plot-data writes: ~1000 s at the default 1 ms step
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -31,6 +33,14 @@ def _out_path(explicit, default_name: str) -> Path:
     if explicit is not None:
         return Path(explicit)
     return Path(os.environ.get(ENV_OUT_DIR, ".")) / default_name
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and then one row per index of ``columns``, each value as ``.9g``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
 def _require(args, *names) -> None:
@@ -97,9 +107,7 @@ def cmd_analyze_rir(args) -> int:
     sys.stdout.write(kvtext.dump_kv(record))
     if args.edc_csv:
         curve = acoustics.energy_decay_curve(rir)
-        lines = ["t_s,level_db"]
-        lines += [f"{t:.9g},{lvl:.9g}" for t, lvl in zip(curve.times, curve.levels)]
-        Path(args.edc_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(args.edc_csv, "t_s,level_db", [curve.times, curve.levels])
         print(f"wrote {args.edc_csv}")
     return 0
 
@@ -120,19 +128,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _same_file(a, b) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # a missing file is reported by the read that follows
-        return False
-
-
 def cmd_gains(args) -> int:
     _require(args, "input", "target")
     noisy = wavio.read_wav(args.input)
-    # one file named twice is read once, so pair_gains analyzes it once
-    target = noisy if _same_file(args.input, args.target) else wavio.read_wav(args.target)
-    gains, noisy_spectra = pipeline.pair_gains(noisy, target)
+    gains, noisy_spectra = pipeline.pair_gains(noisy, wavio.read_wav(args.target))
     suffix = ".gains.f32" if args.binary else ".gains.csv"
     out = _out_path(args.out, Path(args.input).stem + suffix)
     write = bands.write_band_matrix_raw if args.binary else bands.write_band_matrix_csv
@@ -163,6 +162,9 @@ def cmd_make_dataset(args) -> int:
 def cmd_plot_data(args) -> int:
     params = shaping.ShapingParams(shaping.Strategy.ATTENUATED_DECAYED,
                                    args.t0, args.t1, args.alpha, args.rd)
+    for name, value in (("step", args.step), ("rt60", args.rt60), ("duration", args.duration)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ParameterError(f"--{name} must be positive and finite, got {value}")
     if args.duration is not None:
         duration = args.duration
     elif args.function == "A":
@@ -171,10 +173,15 @@ def cmd_plot_data(args) -> int:
         duration = params.t0 + 2.0 * params.rd
     else:
         duration = 0.4
-    for name, value in (("step", args.step), ("rt60", args.rt60), ("duration", duration)):
-        if not 0.0 < value < math.inf:
-            raise ParameterError(f"--{name} must be positive and finite, got {value}")
-    t = np.arange(int(round(duration / args.step)) + 1) * args.step
+    if duration == math.inf:  # an infinite --t1 or --rd leaves the curve no default span
+        flag = "t1" if args.function == "A" else "rd"
+        raise ParameterError(f"--{flag} {getattr(params, flag)} gives the {args.function} "
+                             "curve no finite span: --duration is needed")
+    intervals = duration / args.step
+    if not intervals <= MAX_PLOT_ROWS - 1:
+        raise ParameterError(f"{duration:g} s at --step {args.step:g} is {intervals + 1:.3g} "
+                             f"rows, more than the {MAX_PLOT_ROWS} allowed")
+    t = np.arange(int(round(intervals)) + 1) * args.step
 
     if args.function == "D":
         header, columns = "t_s,D", [shaping.decay_function(t, params)]
@@ -182,17 +189,14 @@ def cmd_plot_data(args) -> int:
         header, columns = "t_s,A", [shaping.attenuation_function(t, params)]
     else:
         envelope = 10.0 ** (-3.0 * t / args.rt60)
-        decay = shaping.decay_function(t, params)
-        attenuation = shaping.attenuation_function(t, params)
-        header = "t_s,none,decayed,attenuated_decayed"
-        columns = [envelope, envelope * decay, envelope * decay * attenuation]
+        strategies = (shaping.Strategy.NONE, shaping.Strategy.DECAYED,
+                      shaping.Strategy.ATTENUATED_DECAYED)
+        header = "t_s," + ",".join(s.value.replace("-", "_") for s in strategies)
+        columns = [envelope * shaping.shaping_gain(t, dataclasses.replace(params, strategy=s))
+                   for s in strategies]
 
     out = _out_path(args.out, f"curve_{args.function.replace('-', '_')}.csv")
-    lines = [header]
-    for i in range(t.size):
-        row = [t[i]] + [col[i] for col in columns]
-        lines.append(",".join(format(v, ".9g") for v in row))
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out, header, [t, *columns])
     print(f"wrote {out}")
     return 0
 

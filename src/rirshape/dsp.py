@@ -35,14 +35,15 @@ has not taken, so a helper that gets no core soon leaves both to the
 caller. The inverse transforms stay on the caller's thread: split per
 response over two threads they saved ~2 ms of a ~70 ms 10 s example
 when a core was free and lost more than that otherwise.
-A helper starts only if the process may use another core (its affinity
-mask, ``os.sched_getaffinity``, capped by its cgroup's CPU quota) and
-``multiprocessing`` did not start it: a ``build_dataset`` pool worker
-stays on one thread, since its sibling workers hold the other cores. The
-count is fixed for the life of a process. The machine's load is not
-read, so beside an unrelated busy process a 10 s example keeps its
-helper. Shorter transforms, such as those of 1 s entries, start no
-thread, and ``analyze`` runs on the caller's thread. No option or
+A helper starts only if the process's affinity mask
+(``os.sched_getaffinity``) holds another core and ``multiprocessing``
+did not start it: a ``build_dataset`` pool worker stays on one thread,
+since its sibling workers hold the other cores. No CPU quota is read, so
+a process held below two CPUs by a quota while its mask shows two or
+more still starts the helper (an effect not measured). Nor is the
+machine's load read, so beside an unrelated busy process a 10 s example
+keeps its helper. Shorter transforms, such as those of 1 s entries,
+start no thread, and ``analyze`` runs on the caller's thread. No option or
 variable sets the count. The helper runs only ``scipy.fft`` and numpy
 and is joined before the call returns, so no thread is alive across a
 ``fork``; each transform is computed exactly as on one thread, so
@@ -78,8 +79,6 @@ RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory and may u
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
-
-_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 @dataclass(frozen=True)
@@ -186,56 +185,25 @@ def _retain_freed_memory() -> None:
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on: its affinity, capped by a cgroup CPU quota."""
+    """Cores this process may run on: its affinity mask."""
     try:
-        cores = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    quota = _cgroup_cpu_quota(_CGROUP_ROOT)
-    return cores if quota is None else max(1, min(cores, int(quota)))
-
-
-@functools.cache
-def _cgroup_cpu_quota(root: str) -> float | None:
-    """CPUs per period allowed by the cgroup mounted at ``root``, or None if unlimited.
-
-    Reads cgroup v2 ``cpu.max`` ("max 100000" or "150000 100000"), else
-    cgroup v1 ``cpu/cpu.cfs_quota_us`` (-1 when unlimited) over
-    ``cpu/cpu.cfs_period_us``. A missing or unreadable file means no quota.
-    """
-    def read(name):
-        try:
-            with open(os.path.join(root, name), encoding="ascii") as fh:
-                return fh.read().split()
-        except (OSError, UnicodeDecodeError):
-            return None
-
-    fields = read("cpu.max")
-    if fields is None:
-        quota, period = read("cpu/cpu.cfs_quota_us"), read("cpu/cpu.cfs_period_us")
-        fields = quota + period if quota and period else None
-    try:
-        quota, period = fields
-        return int(quota) / int(period) if int(quota) > 0 and int(period) > 0 else None
-    except (TypeError, ValueError):  # "max", no file or an unexpected layout
-        return None
-
-
-def _long_transform_threads() -> int:
-    """Threads for a long transform: the usable cores, or one in a worker process."""
-    return 1 if multiprocessing.parent_process() is not None else _usable_cores()
+        return os.cpu_count() or 1
 
 
 def _transform_threads(points: int) -> int:
-    """Threads for a transform of ``points`` points (1 below ``RETAIN_FROM_NFFT``).
+    """Threads for a transform of ``points`` points.
 
-    A long transform first turns on the process-wide allocator setting,
-    so its helper threads allocate from the main arena.
+    One below ``RETAIN_FROM_NFFT`` or in a process ``multiprocessing``
+    started, else the usable cores. A long transform first turns on the
+    process-wide allocator setting, so its helper threads allocate from
+    the main arena.
     """
     if points < RETAIN_FROM_NFFT:
         return 1
     _retain_freed_memory()
-    return _long_transform_threads()
+    return 1 if multiprocessing.parent_process() is not None else _usable_cores()
 
 
 def _run_split(calls, threads: int) -> list:

@@ -140,9 +140,6 @@ class Rir(Signal):
         """Tap times in seconds, zero at the direct-path peak."""
         return (np.arange(self.samples.size) - self.direct_index) / self.sample_rate
 
-    def energy(self) -> float:
-        return float(np.sum(self.samples ** 2))
-
 
 def decay_function(t, params: ShapingParams):
     """Exponential tail gain: 1 before ``t0``, then 10^(-3 (t - t0) / rd).

@@ -5,7 +5,7 @@ import pytest
 
 from rirshape import (ShapingParams, Signal, Strategy, read_rir, read_wav,
                       shape_rir, synth_rir, write_rir, write_wav)
-from rirshape import pipeline
+from rirshape import cli, pipeline
 from rirshape.bands import read_band_matrix_csv
 from rirshape.cli import main
 from rirshape.kvtext import load_kv, parse_kv
@@ -177,31 +177,6 @@ class TestGainsCommand:
         assert np.all(matrix.values == 1.0)  # identical input/target
         assert meta["frame_advance_ms"] == "10"
 
-    def test_one_file_named_twice_is_analyzed_once(self, tmp_path, capsys, monkeypatch):
-        from rirshape import pipeline
-        calls = []
-
-        def counted(name):
-            fn = getattr(pipeline, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(pipeline, name, wrapper)
-
-        counted("analyze")
-        counted("band_energies")
-        (tmp_path / "sub").mkdir()
-        wav = tmp_path / "s.wav"
-        write_wav(speech_like(0.2, seed=4), wav)
-        code, _, _ = run(capsys, "gains", "--input", wav,
-                         "--target", tmp_path / "sub" / ".." / "s.wav",
-                         "--out", tmp_path / "g.csv")
-        assert code == 0
-        assert calls == ["analyze", "band_energies"]
-        matrix, _ = read_band_matrix_csv(tmp_path / "g.csv")
-        assert np.all(matrix.values == 1.0)
-
     def test_length_mismatch_rejected(self, tmp_path, capsys):
         write_wav(speech_like(0.2), tmp_path / "a.wav")
         write_wav(speech_like(0.3), tmp_path / "b.wav")
@@ -240,6 +215,15 @@ class TestPlotDataCommand:
         assert np.all(decayed <= none_col + 1e-15)
         for col in (none_col, decayed, attenuated):
             assert np.all(np.diff(col) <= 1e-15)
+
+    def test_row_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        assert cli.MAX_PLOT_ROWS >= 10 ** 6
+        monkeypatch.setattr(cli, "MAX_PLOT_ROWS", 11)
+        out = tmp_path / "d.csv"
+        code, _, _ = run(capsys, "plot-data", "D", "--duration", "0.010", "--out", out)
+        assert code == 0 and len(out.read_text().splitlines()) == 1 + 11
+        code, _, err = run(capsys, "plot-data", "D", "--duration", "0.011", "--out", out)
+        assert code == 1 and "12 rows" in err
 
 
 class TestMakeDatasetCommand:
@@ -372,6 +356,14 @@ class TestMalformedInputs:
         (["shape", "{rir}", "--strategy", "decayed", "--rd", "nan"], "rd must"),
         (["verify", "{rir}", "--strategy", "decayed", "--rd", "nan"], "rd must"),
         (["make-dataset", "{manifest}"], "length"),
+        # a curve span with no finite default, or more rows than plot-data writes
+        (["plot-data", "D", "--rd", "inf"],
+         "--rd inf gives the D curve no finite span: --duration is needed"),
+        (["plot-data", "A", "--t1", "inf"],
+         "--t1 inf gives the A curve no finite span: --duration is needed"),
+        (["plot-data", "D", "--step", "1e-12", "--duration", "1e3"], "1e+15 rows"),
+        (["plot-data", "D", "--rd", "1e300"], "2e+303 rows"),
+        (["plot-data", "shaped-tail", "--duration", "1e9"], "1e+12 rows"),
     ])
     def test_non_finite_or_nonpositive_flag_is_one_error_line(self, tmp_path, rir_file,
                                                                monkeypatch, capsys,

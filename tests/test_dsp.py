@@ -339,7 +339,7 @@ def cores(monkeypatch):
     monkeypatch.setattr(threading, "Thread", CountingThread)
 
     def set_cores(n):
-        monkeypatch.setattr(dsp, "_long_transform_threads", lambda: n)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: n)
     return set_cores
 
 
@@ -375,9 +375,22 @@ class TestThreadedTransforms:
         assert CountingThread.started == 0
 
     def test_thread_count_is_the_free_cores(self, monkeypatch):
-        monkeypatch.setattr(dsp, "_long_transform_threads", lambda: 3)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
         assert dsp._transform_threads(RETAIN_FROM_NFFT - 1) == 1
         assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
+
+    def test_thread_count_follows_the_affinity_mask(self, cores, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = Signal(rng.standard_normal(self.N_X), FS)
+        responses = [Rir(rng.standard_normal(self.N_H), FS)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 1
+        convolve(x, responses)
+        assert CountingThread.started == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
+        convolve(x, responses)
+        assert CountingThread.started == 1  # two forward transforms: one helper
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method")
@@ -388,29 +401,6 @@ class TestThreadedTransforms:
         assert dsp._transform_threads(RETAIN_FROM_NFFT) == 2
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
             assert pool.submit(dsp._transform_threads, RETAIN_FROM_NFFT).result(60) == 1
-
-    @pytest.mark.parametrize("files, quota", [
-        ({}, None),
-        ({"cpu.max": "max 100000\n"}, None),
-        ({"cpu.max": "150000 100000\n"}, 1.5),
-        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
-        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2.0),
-        ({"cpu/cpu.cfs_quota_us": "50000\n"}, None),
-        ({"cpu.max": "garbled\n"}, None),
-    ], ids=["none", "v2-max", "v2-1.5", "v1-unlimited", "v1-2", "v1-no-period", "garbled"])
-    def test_cgroup_cpu_quota(self, tmp_path, files, quota):
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        assert dsp._cgroup_cpu_quota(str(tmp_path)) == quota
-
-    @pytest.mark.parametrize("quota, usable", [(None, 8), (1.5, 1), (0.5, 1), (3.0, 3),
-                                               (16.0, 8)])
-    def test_usable_cores_capped_by_quota(self, monkeypatch, quota, usable):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        monkeypatch.setattr(dsp, "_cgroup_cpu_quota", lambda root: quota)
-        assert dsp._usable_cores() == usable
 
     def test_caller_runs_the_calls_a_helper_does_not_reach(self, monkeypatch):
         gate = threading.Event()
@@ -473,8 +463,8 @@ import resource
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, dsp, synth_rir
 from rirshape.pipeline import generate_example
-rule, threads = dsp._long_transform_threads, []
-dsp._long_transform_threads = lambda: threads.append(rule()) or threads[-1]
+rule, threads = dsp._transform_threads, []
+dsp._transform_threads = lambda points: threads.append(rule(points)) or threads[-1]
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
 noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
@@ -530,7 +520,7 @@ import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, synth_rir
 from rirshape import dsp
 from rirshape.pipeline import generate_example
-dsp._long_transform_threads = lambda: 2  # start helper threads whatever the host's cores
+dsp._usable_cores = lambda: 2  # start helper threads whatever the host's cores
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
 noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
@@ -563,7 +553,7 @@ import hashlib, pathlib
 import numpy as np
 from rirshape import Signal, Strategy, convolve, dsp, synth_rir, write_wav
 from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset
-dsp._long_transform_threads = lambda: 2  # start helper threads whatever the host's cores
+dsp._usable_cores = lambda: 2  # start helper threads whatever the host's cores
 root = pathlib.Path({str(tmp_path)!r})
 rng = np.random.default_rng(0)
 speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)

@@ -1,8 +1,9 @@
 """The benchmark's entry points run and check out on this package.
 
 ``perfbench/test_smoke.py`` is outside the test paths, so this runs
-``perfbench/run.py`` at its tiny size on the per-example and the
-single-worker build workloads, untraced, and reads its result line.
+``perfbench/run.py`` at its tiny size on each workload, untraced, and
+reads its result line: the per-example one, the single-worker build, and
+the pool build, whose entries run in worker processes.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["example-10s", "build-long"])
+@pytest.mark.parametrize("workload", ["example-10s", "build-long", "build-short"])
 def test_workload_runs_and_checks_out(workload):
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "3", "--seconds", "1", "--trace", "0", "--size", "tiny"],

@@ -121,7 +121,7 @@ class TestGenerateExample:
         h0 = synth_rir(0.8, seed=13)
         results = []
         for cores in (1, 2):
-            monkeypatch.setattr(dsp, "_long_transform_threads", lambda: cores)
+            monkeypatch.setattr(dsp, "_usable_cores", lambda: cores)
             example = generate_example(speech, noise_like(2.0, seed=14) if noisy else None,
                                        h0, ShapingParams(strategy), 3.0, seed=15)
             results.append((example.input.samples.tobytes(),
