@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
     sys.stdout.write(report.to_kv())
     if args.csv:
         path = Path(args.csv)
-        new = not path.exists()
+        new = not path.exists() or path.stat().st_size == 0
         with open(path, "a", encoding="utf-8") as fh:
             if new:
                 fh.write(report.CSV_HEADER + "\n")

@@ -11,11 +11,12 @@ function over immutable inputs and is safe to call concurrently.
 is a Signal with a direct-path index. ``convolve`` transforms a signal
 once for a whole list of equal-length responses.
 
-The first time ``convolve`` runs a transform of at least
-``RETAIN_FROM_NFFT`` (2^18) points, it tells glibc's allocator, once and
-for the whole process, to keep freed memory instead of returning it to
-the kernel: ``mallopt`` raises the mmap threshold to 32 MiB and the trim
-threshold to 64 MiB. Without it, the scratch buffers of a 10 s example's
+The first time ``convolve`` or ``analyze`` runs a transform of at least
+``RETAIN_FROM_NFFT`` (2^18) points (for ``analyze``, the points of one
+signal's frames), it tells glibc's allocator, once and for the whole
+process, to keep freed memory instead of returning it to the kernel:
+``mallopt`` raises the mmap threshold to 32 MiB and the trim threshold
+to 64 MiB. Without it, the scratch buffers of a 10 s example's
 552,960-point transforms are mapped fresh and handed back on every
 call, which cost ~14,000 minor page faults and 16-47 ms of system
 time per example (of ~106 ms wall); with it, repeated examples reuse
@@ -28,13 +29,24 @@ thread (below) allocates from the main heap instead of growing an arena
 of its own: a loop of 40 10 s examples on two threads peaked at 132 MB
 resident without the limit and at 126 MB with it (114 MB on one thread).
 
-The same size rule lets a long ``convolve`` run its two forward
-transforms, the signal's and the stacked responses', side by side: the
-caller's thread and one fresh helper each take the transform the other
-has not taken, so a helper that gets no core soon leaves both to the
-caller. The inverse transforms stay on the caller's thread: split per
-response over two threads they saved ~2 ms of a ~70 ms 10 s example
-when a core was free and lost more than that otherwise.
+The same size rule lets a long transform use a second core. Each
+such call hands its independent transforms to ``_run_split``: the
+caller's thread and one fresh helper per further usable core each take
+the next transform not yet taken, so a helper that gets no core soon
+leaves the rest to the caller. A long ``convolve`` splits twice, first
+into its two forward transforms (the signal's and the stacked
+responses'), then into one inverse transform per response; ``analyze``
+splits into blocks of ``FRAMES_PER_CALL`` frames, written into spectra
+it allocates before the split. A 10 s example, one ``convolve`` over two
+responses and one ``analyze`` of its input and target, so keeps a second
+core busy at three points. The threads share one heap, and these
+splits keep its layout, and so a warm example's page faults, the same
+from run to run. Two other splits did not, since where their buffers
+landed depended on which thread ran what when: three equal forward
+transforms (the signal's and each response's alone), the third taken by
+whichever thread was free first, and one call per signal's frames with
+its own 8 MB buffers. With the first, 4 of 20 runs took 561-1,082 minor
+faults at their third example; with the second, 1 of 20 took 319.
 A helper starts only if the process's affinity mask
 (``os.sched_getaffinity``) holds another core and ``multiprocessing``
 did not start it: a ``build_dataset`` pool worker stays on one thread,
@@ -43,11 +55,11 @@ a process held below two CPUs by a quota while its mask shows two or
 more still starts the helper (an effect not measured). Nor is the
 machine's load read, so beside an unrelated busy process a 10 s example
 keeps its helper. Shorter transforms, such as those of 1 s entries,
-start no thread, and ``analyze`` runs on the caller's thread. No option or
-variable sets the count. The helper runs only ``scipy.fft`` and numpy
-and is joined before the call returns, so no thread is alive across a
-``fork``; each transform is computed exactly as on one thread, so
-results are bit-identical either way.
+start no thread. No option or variable sets the count. The helpers run
+only ``scipy.fft`` and numpy, never a function that ``pipeline`` calls
+by name, and are joined before the call returns, so no thread is alive
+across a ``fork``; each transform is computed exactly as on one thread,
+so results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -75,6 +87,7 @@ DEFAULT_SAMPLE_RATE = 48000
 WINDOW_MS = 20.0
 FRAME_ADVANCE_MS = 10.0
 RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory and may use a thread
+FRAMES_PER_CALL = 256  # analysis frames windowed and transformed per call, on any thread
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -256,8 +269,8 @@ def convolve(x: Signal, responses: list[Signal],
     operand, and a one-tap response (or a one-sample signal) applied as an
     exact scale instead of a transform round trip. A transform of
     ``RETAIN_FROM_NFFT`` points or more turns on the process-wide
-    allocator setting and may run its forward transforms on two threads,
-    both described in the module docstring.
+    allocator setting and may run its transforms on more than one
+    thread, both described in the module docstring.
     """
     if not responses:
         raise ParameterError("need at least one impulse response")
@@ -280,12 +293,14 @@ def convolve(x: Signal, responses: list[Signal],
         rows = [(x.samples * t)[:n_out] for t in taps]
     else:
         nfft = sp_fft.next_fast_len(full, real=True)
+        threads = _transform_threads(nfft)
         spectrum, products = _run_split(
             [lambda: sp_fft.rfft(x.samples, nfft),
-             lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)],
-            _transform_threads(nfft))
+             lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)], threads)
         np.multiply(spectrum, products, out=products)
-        rows = sp_fft.irfft(products, nfft, axis=1, overwrite_x=True)[:, :n_out]
+        rows = _run_split(
+            [lambda row=row: sp_fft.irfft(row, nfft, overwrite_x=True)[:n_out]
+             for row in products], threads)
     return [Signal(row, x.sample_rate) for row in rows]
 
 
@@ -335,28 +350,45 @@ def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
     return mixture, noise_gain
 
 
-def analyze(signal: Signal) -> FrameSpectra:
-    """Split a signal into 50%-overlapped windowed frames and transform.
+def analyze(signals: list[Signal]) -> list[FrameSpectra]:
+    """Split each signal into 50%-overlapped windowed frames and transform.
 
-    Uses the module's fixed profile (20 ms windows, 10 ms advance, FFT
-    size equal to the window). Frames shorter than one full window at
-    the tail are dropped: a 1 s signal at 48 kHz yields 99 frames.
+    One FrameSpectra per signal, in order; a single signal is a list of
+    one, ``analyze([s])[0]``. Uses the module's fixed profile (20 ms
+    windows, 10 ms advance, FFT size equal to the window) at each
+    signal's own sample rate. Frames shorter than one full window at the
+    tail are dropped: a 1 s signal at 48 kHz yields 99 frames. Each
+    signal's spectra are allocated here and filled ``FRAMES_PER_CALL``
+    frames at a time; when a signal's frames hold ``RETAIN_FROM_NFFT``
+    points or more, those calls may run on separate threads, as described
+    in the module docstring.
     """
-    win, hop = frame_lengths(signal.sample_rate)
-    if len(signal) < win:
-        raise TooShortError(f"signal of {len(signal)} samples shorter than one "
-                            f"{win}-sample window")
-    window = power_complementary_window(win)
-    framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
-    frames = np.fft.rfft(framed * window, n=win, axis=1)
-    return FrameSpectra(frames, signal.sample_rate)
+    if not signals:
+        raise ParameterError("need at least one signal")
+    spectra, calls, points = [], [], 0
+    for signal in signals:
+        win, hop = frame_lengths(signal.sample_rate)
+        if len(signal) < win:
+            raise TooShortError(f"signal of {len(signal)} samples shorter than one "
+                                f"{win}-sample window")
+        framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
+        window = power_complementary_window(win)
+        frames = np.empty((framed.shape[0], win // 2 + 1), dtype=np.complex128)
+        for start in range(0, framed.shape[0], FRAMES_PER_CALL):
+            rows = slice(start, start + FRAMES_PER_CALL)
+            calls.append(lambda framed=framed[rows], window=window, out=frames[rows]:
+                         np.fft.rfft(framed * window, n=window.size, axis=1, out=out))
+        spectra.append(frames)
+        points = max(points, framed.size)
+    _run_split(calls, _transform_threads(points))
+    return [FrameSpectra(f, signal.sample_rate) for f, signal in zip(spectra, signals)]
 
 
 def synthesize(spectra: FrameSpectra) -> Signal:
     """Overlap-add frame spectra back into a waveform.
 
     Uses the same power-complementary window as ``analyze``, so
-    synthesize(analyze(s)) reproduces s exactly except within one
+    synthesize(analyze([s])[0]) reproduces s exactly except within one
     window of each edge.
     """
     win, hop = frame_lengths(spectra.sample_rate)

@@ -239,18 +239,16 @@ def pair_gains(input: Signal, target: Signal) -> tuple[BandMatrix, FrameSpectra]
 
     Returns the gains, computed with ``design_erb_filterbank`` at the
     input's sample rate, and the input's frame spectra, for callers that
-    apply the gains. The two signals must be equally long. A
-    signal passed as both input and target, as in a noise-free
-    strategy-``none`` example, is analyzed once.
+    apply the gains. The two signals must be equally long. Both are
+    analyzed in one ``analyze`` call; a signal passed as both input and
+    target, as in a noise-free strategy-``none`` example, is analyzed once.
     """
     if len(input) != len(target):
         raise ParameterError("input and target must be equally long")
-    input_spectra = analyze(input)
-    fb = design_erb_filterbank(input_spectra.sample_rate)
-    input_energies = band_energies(input_spectra, fb)
-    target_energies = (input_energies if target is input
-                       else band_energies(analyze(target), fb))
-    return ideal_gains(target_energies, input_energies), input_spectra
+    spectra = analyze([input] if target is input else [input, target])
+    fb = design_erb_filterbank(input.sample_rate)
+    energies = [band_energies(s, fb) for s in spectra]
+    return ideal_gains(energies[-1], energies[0]), spectra[0]
 
 
 # --- manifest text format ----------------------------------------------------
@@ -446,11 +444,13 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     ``summary.csv``. An entry whose inputs cannot be read or used
     (``RirshapeError``, ``OSError``) is recorded in the summary as failed;
     any other exception is a bug and propagates, with no summary written.
-    A bad entry or a repeated id is a ManifestError raised
-    before anything is written. With ``workers`` > 1 entries are
-    processed in parallel; outputs are byte-identical regardless of
-    worker count.
+    A bad entry or a repeated id is a ManifestError, and a ``workers``
+    count below 1 a ParameterError, raised before anything is written.
+    With ``workers`` > 1 entries are processed in parallel; outputs are
+    byte-identical regardless of worker count.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     manifest.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

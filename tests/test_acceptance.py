@@ -112,7 +112,7 @@ def test_criterion_5_gain_oracle():
     fb = design_erb_filterbank(FS)
     rect = fb.rectangularized()
 
-    spectra = analyze(speech_like(0.3, seed=0))
+    spectra = analyze([speech_like(0.3, seed=0)])[0]
     x = band_energies(spectra, fb)
     assert np.all(ideal_gains(x, x).values == 1.0)
 
@@ -129,8 +129,8 @@ def test_criterion_5_gain_oracle():
         reverberant = Signal(convolve(speech, [h0])[0].samples[:len(speech)], FS)
         mixture, _ = mix_at_snr(reverberant, noise, float(rng.uniform(0.0, 30.0)))
 
-        noisy_spectra = analyze(mixture)
-        x_rect = band_energies(analyze(target), rect)
+        noisy_spectra = analyze([mixture])[0]
+        x_rect = band_energies(analyze([target])[0], rect)
         y_rect = band_energies(noisy_spectra, rect)
         gains = ideal_gains(x_rect, y_rect, clamp=False)
         rebuilt = band_energies(apply_gains(noisy_spectra, gains, rect), rect)
@@ -157,7 +157,7 @@ def test_criterion_6_dsp_oracles():
         assert deviation < 1e-9
 
     signal = speech_like(0.5, seed=6)
-    rebuilt = synthesize(analyze(signal))
+    rebuilt = synthesize(analyze([signal])[0])
     n = min(len(signal), len(rebuilt))
     err = rebuilt.samples[:n][960:n - 960] - signal.samples[:n][960:n - 960]
     round_trip = np.sqrt(np.mean(err ** 2)) / signal.rms()

@@ -67,7 +67,7 @@ class TestFilterbankDesign:
 
     @pytest.mark.parametrize("sample_rate", [16000, 44100, FS])
     def test_bins_match_the_analysis_frames(self, sample_rate):
-        spectra = analyze(Signal(np.ones(sample_rate // 10), sample_rate))
+        spectra = analyze([Signal(np.ones(sample_rate // 10), sample_rate)])[0]
         assert design_erb_filterbank(sample_rate).n_bins == spectra.n_bins
 
 
@@ -79,7 +79,7 @@ class TestBandEnergies:
         assert not np.any(energies.values)
 
     def test_parseval_partition(self, fb):
-        spectra = analyze(speech_like(0.2, seed=3))
+        spectra = analyze([speech_like(0.2, seed=3)])[0]
         energies = band_energies(spectra, fb)
         per_frame_band = np.sum(energies.values ** 2, axis=1)
         per_frame_bins = np.sum(np.abs(spectra.frames) ** 2, axis=1)
@@ -114,13 +114,13 @@ class TestBandEnergies:
 
 class TestIdealGains:
     def test_identity_pair_gives_ones(self, fb):
-        spectra = analyze(speech_like(0.2, seed=4))
+        spectra = analyze([speech_like(0.2, seed=4)])[0]
         x = band_energies(spectra, fb)
         gains = ideal_gains(x, x)
         assert np.all(gains.values == 1.0)
 
     def test_zero_target_gives_zeros(self, fb):
-        spectra = analyze(speech_like(0.2, seed=5))
+        spectra = analyze([speech_like(0.2, seed=5)])[0]
         y = band_energies(spectra, fb)
         zero = BandMatrix(np.zeros_like(y.values), "energy")
         assert not np.any(ideal_gains(zero, y).values)
@@ -158,21 +158,21 @@ class TestIdealGains:
 
 class TestApplyGains:
     def test_unit_gains_transparent(self, fb):
-        spectra = analyze(speech_like(0.2, seed=6))
+        spectra = analyze([speech_like(0.2, seed=6)])[0]
         ones = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
         for weights in (fb, fb.rectangularized()):
             out = apply_gains(spectra, ones, weights)
             assert np.allclose(out.frames, spectra.frames, rtol=1e-12)
 
     def test_constant_half_gain(self, fb):
-        spectra = analyze(speech_like(0.2, seed=7))
+        spectra = analyze([speech_like(0.2, seed=7)])[0]
         half = BandMatrix(np.full((spectra.n_frames, 32), 0.5), "gain")
         for weights in (fb, fb.rectangularized()):
             out = apply_gains(spectra, half, weights)
             assert np.allclose(out.frames, 0.5 * spectra.frames, rtol=1e-12)
 
     def test_phase_preserved(self, fb):
-        spectra = analyze(speech_like(0.2, seed=8))
+        spectra = analyze([speech_like(0.2, seed=8)])[0]
         gains = BandMatrix(np.random.default_rng(0).uniform(0.1, 1.0,
                                                             (spectra.n_frames, 32)), "gain")
         out = apply_gains(spectra, gains, fb)
@@ -185,10 +185,10 @@ class TestApplyGains:
         # reproduce the target's ownership-partition energies exactly
         rect = fb.rectangularized()
         for seed in range(5):
-            target_spectra = analyze(speech_like(0.2, seed=seed))
+            target_spectra = analyze([speech_like(0.2, seed=seed)])[0]
             noisy = speech_like(0.2, seed=seed).samples \
                 + 0.3 * speech_like(0.2, seed=seed + 100).samples
-            noisy_spectra = analyze(Signal(noisy, FS))
+            noisy_spectra = analyze([Signal(noisy, FS)])[0]
             x = band_energies(target_spectra, rect)
             y = band_energies(noisy_spectra, rect)
             gains = ideal_gains(x, y, clamp=False)
@@ -197,12 +197,12 @@ class TestApplyGains:
             assert deviation.max() < 1e-4
 
     def test_scale_covariance(self, fb):
-        target_spectra = analyze(speech_like(0.2, seed=10))
+        target_spectra = analyze([speech_like(0.2, seed=10)])[0]
         noisy_signal = speech_like(0.2, seed=11)
         x = band_energies(target_spectra, fb)
         for a in (0.5, 3.0):
-            y1 = band_energies(analyze(noisy_signal), fb)
-            y2 = band_energies(analyze(Signal(a * noisy_signal.samples, FS)), fb)
+            y1 = band_energies(analyze([noisy_signal])[0], fb)
+            y2 = band_energies(analyze([Signal(a * noisy_signal.samples, FS)])[0], fb)
             assert np.allclose(y2.values, a * y1.values, rtol=1e-9)
             g1 = ideal_gains(x, y1, clamp=False)
             g2 = ideal_gains(x, y2, clamp=False)
@@ -211,7 +211,7 @@ class TestApplyGains:
             assert np.allclose(g2.values * y2.values, g1.values * y1.values, rtol=1e-9)
 
     def test_matches_dense_reference(self, fb):
-        spectra = analyze(speech_like(0.2, seed=12))
+        spectra = analyze([speech_like(0.2, seed=12)])[0]
         gains = BandMatrix(np.random.default_rng(3).uniform(0.0, 1.0,
                                                             (spectra.n_frames, 32)), "gain")
         for weights in (fb, fb.rectangularized()):
@@ -221,7 +221,7 @@ class TestApplyGains:
 
     def test_rectangularized_gives_each_bin_its_owners_gain(self, fb):
         # reference: the per-bin gain lookup of the band holding the peak weight
-        spectra = analyze(speech_like(0.2, seed=13))
+        spectra = analyze([speech_like(0.2, seed=13)])[0]
         gains = BandMatrix(np.random.default_rng(4).uniform(0.0, 1.0,
                                                             (spectra.n_frames, 32)), "gain")
         out = apply_gains(spectra, gains, fb.rectangularized())
@@ -230,7 +230,7 @@ class TestApplyGains:
 
     def test_sample_rate_mismatch_rejected(self):
         # 48050 Hz gives the same 481 bins as 48 kHz, so only the rate tells them apart
-        spectra = analyze(speech_like(0.1))
+        spectra = analyze([speech_like(0.1)])[0]
         other = design_erb_filterbank(48050)
         assert other.n_bins == spectra.n_bins
         gains = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
@@ -238,7 +238,7 @@ class TestApplyGains:
             apply_gains(spectra, gains, other)
 
     def test_frame_mismatch_rejected(self, fb):
-        spectra = analyze(speech_like(0.1))
+        spectra = analyze([speech_like(0.1)])[0]
         gains = BandMatrix(np.ones((spectra.n_frames + 1, 32)), "gain")
         with pytest.raises(ShapeMismatchError):
             apply_gains(spectra, gains, fb)

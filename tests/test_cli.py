@@ -108,6 +108,14 @@ class TestVerifyCommand:
         assert len(lines) == 3
 
 
+    def test_csv_header_written_into_an_empty_file(self, tmp_path, rir_file, capsys):
+        csv = tmp_path / "reports.csv"
+        csv.touch()
+        run(capsys, "verify", rir_file, "--strategy", "decayed", "--csv", csv)
+        lines = csv.read_text().splitlines()
+        assert lines[0].startswith("strategy,r0_estimate,") and len(lines) == 2
+
+
 class TestGainsCommand:
     def test_gains_csv(self, tmp_path, capsys):
         noisy = tmp_path / "noisy.wav"
@@ -155,8 +163,8 @@ class TestGainsCommand:
             assert code == 0
         # reference: the library chain with the rectangularized filterbank
         fb = design_erb_filterbank(FS)
-        noisy_spectra = analyze(read_wav(noisy))
-        gains = ideal_gains(band_energies(analyze(read_wav(target)), fb),
+        noisy_spectra = analyze([read_wav(noisy)])[0]
+        gains = ideal_gains(band_energies(analyze([read_wav(target)])[0], fb),
                             band_energies(noisy_spectra, fb))
         write_wav(synthesize(apply_gains(noisy_spectra, gains, fb.rectangularized())),
                   tmp_path / "reference.wav")
@@ -256,6 +264,17 @@ class TestMakeDatasetCommand:
         assert code == 1
         assert "failed=1" in out
         assert "error: entry ex00001" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_is_one_error_line(self, tmp_path, capsys, workers):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(self.write_corpus(tmp_path))
+        out_dir = tmp_path / "data"
+        code, out, err = run(capsys, "make-dataset", manifest, "--out-dir", out_dir,
+                             "--workers", workers)
+        assert code == 1 and out == ""
+        assert err == f"error: workers must be at least 1, got {workers}\n"
+        assert not out_dir.exists()
 
     def test_bug_is_raised_not_summarized(self, tmp_path, capsys, monkeypatch):
         def broken(*args):

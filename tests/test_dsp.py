@@ -20,7 +20,8 @@ from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterErr
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
                       synthesize)
 from rirshape import dsp
-from rirshape.dsp import RETAIN_FROM_NFFT, FrameSpectra, fit_noise_length, frame_lengths
+from rirshape.dsp import (FRAMES_PER_CALL, RETAIN_FROM_NFFT, FrameSpectra,
+                          fit_noise_length, frame_lengths)
 from rirshape.shaping import Rir
 
 FS = 48000
@@ -233,23 +234,23 @@ class TestMixAtSnr:
 
 class TestAnalyzeSynthesize:
     def test_one_second_gives_99_frames(self):
-        spectra = analyze(Signal(np.random.default_rng(0).standard_normal(FS), FS))
+        spectra = analyze([Signal(np.random.default_rng(0).standard_normal(FS), FS)])[0]
         assert spectra.n_frames == 99
         assert frame_lengths(spectra.sample_rate) == (960, 480)
         assert spectra.n_bins == 481
 
     def test_dc_bin0_equals_window_sum(self):
-        spectra = analyze(Signal(np.ones(FS // 10), FS))
+        spectra = analyze([Signal(np.ones(FS // 10), FS)])[0]
         window_sum = power_complementary_window(960).sum()
         assert np.allclose(np.abs(spectra.frames[:, 0]), window_sum, rtol=1e-12)
 
     def test_too_short_rejected(self):
         with pytest.raises(TooShortError):
-            analyze(Signal(np.ones(959), FS))
+            analyze([Signal(np.ones(959), FS)])
 
     def test_round_trip_white_noise(self):
         signal = Signal(np.random.default_rng(2).standard_normal(FS // 2), FS)
-        rebuilt = synthesize(analyze(signal))
+        rebuilt = synthesize(analyze([signal])[0])
         n = min(len(signal), len(rebuilt))
         interior = slice(960, n - 960)
         err = rebuilt.samples[:n][interior] - signal.samples[:n][interior]
@@ -258,7 +259,7 @@ class TestAnalyzeSynthesize:
         assert rms < 1e-6
 
     def test_round_trip_speechlike(self, speech):
-        rebuilt = synthesize(analyze(speech))
+        rebuilt = synthesize(analyze([speech])[0])
         n = min(len(speech), len(rebuilt))
         interior = slice(960, n - 960)
         err = rebuilt.samples[:n][interior] - speech.samples[:n][interior]
@@ -292,12 +293,12 @@ class TestAnalyzeSynthesize:
     def test_framing_matches_fancy_index(self):
         for n in (FS // 50, FS // 50 + 479, FS // 50 + 480, FS // 7 + 3, FS):
             signal = Signal(np.random.default_rng(n).standard_normal(n), FS)
-            assert np.array_equal(analyze(signal).frames, fancy_index_framing(signal))
+            assert np.array_equal(analyze([signal])[0].frames, fancy_index_framing(signal))
 
     def test_rate_too_low_for_profile_rejected(self):
         # at 40 Hz the 10 ms hop rounds to zero samples
         with pytest.raises(ParameterError):
-            analyze(Signal(np.ones(100), 40))
+            analyze([Signal(np.ones(100), 40)])
         with pytest.raises(ParameterError):
             FrameSpectra(np.zeros((2, 2), dtype=complex), 40)
 
@@ -311,14 +312,14 @@ class TestAnalyzeSynthesize:
         for n in (sample_rate // 50, sample_rate // 50 + 1, sample_rate // 7 + 3,
                   sample_rate):
             rng = np.random.default_rng(n)
-            spectra = analyze(Signal(rng.standard_normal(n), sample_rate))
+            spectra = analyze([Signal(rng.standard_normal(n), sample_rate)])[0]
             assert np.array_equal(synthesize(spectra).samples, loop_overlap_add(spectra))
 
     def test_grouped_overlap_add_within_round_trip_tolerance(self):
         # at 22,050 Hz the hop (220) is not half the window (441), so up to
         # three frames overlap and the sums may round in another order
         for n in (441, 22050 // 7 + 3, 22050):
-            spectra = analyze(Signal(np.random.default_rng(n).standard_normal(n), 22050))
+            spectra = analyze([Signal(np.random.default_rng(n).standard_normal(n), 22050)])[0]
             reference = loop_overlap_add(spectra)
             err = synthesize(spectra).samples - reference
             assert np.sqrt(np.mean(err ** 2)) / np.sqrt(np.mean(reference ** 2)) < 1e-6
@@ -367,12 +368,39 @@ class TestThreadedTransforms:
             expected = fftconvolve(x.samples, response.taps)[:length]
             assert row == expected.tobytes()
 
-    def test_short_transforms_and_analyze_start_no_thread(self, cores):
+    @pytest.mark.parametrize("n_signals", [1, 2, 3])
+    def test_analyze_same_bytes_on_one_two_and_three_threads(self, cores, n_signals):
+        # 3 s frames into 299 x 960 = 287,040 points: above the threaded size
+        rng = np.random.default_rng(n_signals)
+        signals = [Signal(rng.standard_normal(3 * FS), FS) for _ in range(n_signals)]
+        by_threads = {}
+        for n in (1, 2, 3):
+            cores(n)
+            by_threads[n] = [s.frames.tobytes() for s in analyze(signals)]
+        assert by_threads[1] == by_threads[2] == by_threads[3]
+        calls = n_signals * -(-299 // FRAMES_PER_CALL)  # frames are split into blocks
+        assert CountingThread.started == sum(min(n, calls) - 1 for n in (1, 2, 3))
+        for frames, signal in zip(by_threads[1], signals):
+            assert frames == fancy_index_framing(signal).tobytes()
+
+    def test_short_transforms_and_analyses_start_no_thread(self, cores):
         cores(2)
-        x = Signal(np.random.default_rng(1).standard_normal(FS), FS)
+        rng = np.random.default_rng(1)
+        x = Signal(rng.standard_normal(FS), FS)
         convolve(x, [Rir(np.ones(100), FS), Rir(np.arange(100.0), FS)])
-        analyze(Signal(np.random.default_rng(2).standard_normal(10 * FS), FS))
+        # 2.5 s frames into 249 x 960 = 239,040 points, below the threaded size
+        analyze([Signal(rng.standard_normal(5 * FS // 2), FS) for _ in range(2)])
         assert CountingThread.started == 0
+
+    def test_long_pair_analysis_starts_one_helper(self, cores):
+        cores(2)
+        rng = np.random.default_rng(2)
+        analyze([Signal(rng.standard_normal(10 * FS), FS) for _ in range(2)])
+        assert CountingThread.started == 1
+
+    def test_analyze_rejects_an_empty_list(self):
+        with pytest.raises(ParameterError):
+            analyze([])
 
     def test_thread_count_is_the_free_cores(self, monkeypatch):
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
@@ -463,6 +491,7 @@ import resource
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, dsp, synth_rir
 from rirshape.pipeline import generate_example
+dsp._usable_cores = lambda: 2  # start helper threads whatever the host's cores
 rule, threads = dsp._transform_threads, []
 dsp._transform_threads = lambda points: threads.append(rule(points)) or threads[-1]
 rng = np.random.default_rng(0)

@@ -65,7 +65,7 @@ class TestGenerateExample:
 
         def counted(name, fn):
             def wrapper(*args):
-                calls.append(name)
+                calls.append((name, args))
                 return fn(*args)
             monkeypatch.setattr(pipeline, name, wrapper)
 
@@ -73,10 +73,12 @@ class TestGenerateExample:
         counted("band_energies", band_energies)
         example = generate_example(speech, None, synth_rir(0.4, seed=2),
                                    ShapingParams(Strategy.NONE), None, seed=1)
-        assert calls == ["analyze", "band_energies"]
+        assert [name for name, _ in calls] == ["analyze", "band_energies"]
+        (signals,) = calls[0][1]
+        assert len(signals) == 1 and signals[0] is example.input is example.target
         fb = design_erb_filterbank(FS)
-        reference = ideal_gains(band_energies(analyze(example.target), fb),
-                                band_energies(analyze(example.input), fb))
+        reference = ideal_gains(band_energies(analyze([example.target])[0], fb),
+                                band_energies(analyze([example.input])[0], fb))
         assert np.array_equal(example.gains.values, reference.values)
 
     def test_full_dereverb_target_is_dry(self, speech):
@@ -107,8 +109,8 @@ class TestGenerateExample:
             offset = int(np.random.default_rng(31).integers(0, 2 ** 31))
             reverberant, _ = mix_at_snr(reverberant, noise, 7.5, noise_offset=offset)
         fb = design_erb_filterbank(FS)
-        gains = ideal_gains(band_energies(analyze(Signal(target, FS)), fb),
-                            band_energies(analyze(reverberant), fb))
+        gains = ideal_gains(band_energies(analyze([Signal(target, FS)])[0], fb),
+                            band_energies(analyze([reverberant])[0], fb))
         assert np.array_equal(example.input.samples, reverberant.samples)
         assert np.array_equal(example.target.samples, target)
         assert np.array_equal(example.gains.values, gains.values)
@@ -459,6 +461,12 @@ class TestBuildDataset:
         second = snapshot(corpus / "b", 1)
         parallel = snapshot(corpus / "c", 4)
         assert first == second == parallel
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected_before_any_write(self, corpus, workers):
+        with pytest.raises(ParameterError, match="workers must be at least 1"):
+            build_dataset(small_manifest(corpus), corpus / "out", workers=workers)
+        assert not (corpus / "out").exists()
 
     def test_summary_histogram(self, corpus):
         summary = build_dataset(small_manifest(corpus), corpus / "out")
