@@ -13,10 +13,12 @@ is given: the triangular design (production) or its ``rectangularized``
 copy, where each bin takes the gain of the band that owns it, which
 makes the gains-to-energies loop an exact identity.
 
-Products against the weights go through a sparse copy of them rather
-than a dense BLAS matmul: each bin has only two nonzero weights, and a
-threaded BLAS inside every dataset-build worker process makes the
-workers contend for the cores.
+Products against the weights add each band's span of nonzero weights
+one bin at a time, in bin order, rather than through a dense BLAS
+matmul: each bin has only two nonzero weights, and a threaded BLAS
+inside every dataset-build worker process makes the workers contend for
+the cores. The sums are bit-identical to a sparse (CSR) product with the
+weights, which the tests pin.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import kvtext
 from .dsp import FRAME_ADVANCE_MS, FrameSpectra, frame_lengths
@@ -65,9 +66,13 @@ class Filterbank:
         return self.weights.shape[1]
 
     @cached_property
-    def sparse_weights(self) -> csr_array:
-        """``weights`` as a CSR array, for products that avoid BLAS."""
-        return csr_array(self.weights)
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each band's bins from its first to its last nonzero weight, as (start, stop)."""
+        spans = []
+        for row in self.weights:
+            nonzero = np.flatnonzero(row)
+            spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
+        return tuple(spans)
 
     def rectangularized(self) -> "Filterbank":
         """0/1 weights giving each bin to its peak-weight band; still a partition of unity."""
@@ -155,8 +160,18 @@ def band_energies(spectra: FrameSpectra, fb: Filterbank) -> BandMatrix:
     to the frame's total spectral energy.
     """
     _check_same_rate(spectra, fb)
-    power = np.abs(spectra.frames) ** 2
-    return BandMatrix(np.sqrt(fb.sparse_weights.dot(power.T).T), "energy")
+    # one row per bin, so that each band adds its bins' rows in bin order
+    power = np.square(np.abs(spectra.frames).T, out=np.empty((spectra.n_bins, spectra.n_frames)))
+    sums = np.empty((fb.n_bands, spectra.n_frames))
+    products = np.empty_like(power)
+    for band, (start, stop) in enumerate(fb.spans):
+        rows = np.multiply(power[start:stop], fb.weights[band, start:stop, None],
+                           out=products[:stop - start])
+        if spectra.n_frames > 1:
+            np.add.reduce(rows, axis=0, out=sums[band])
+        else:  # numpy sums a lone column pairwise, not in order
+            sums[band] = np.add.accumulate(np.append(0.0, rows))[-1]
+    return BandMatrix(np.sqrt(sums).T, "energy")
 
 
 def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True) -> BandMatrix:
@@ -199,8 +214,10 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix,
     if noisy_spectra.n_bins != fb.n_bins:
         raise ShapeMismatchError(
             f"{noisy_spectra.n_bins} spectrum bins vs {fb.n_bins} filterbank bins")
-    per_bin = fb.sparse_weights.T.dot(gains.values.T).T
-    return replace(noisy_spectra, frames=noisy_spectra.frames * per_bin)
+    per_bin = np.zeros((fb.n_bins, gains.n_frames))
+    for band, (start, stop) in enumerate(fb.spans):  # each bin adds its bands in band order
+        per_bin[start:stop] += fb.weights[band, start:stop, None] * gains.values[:, band]
+    return replace(noisy_spectra, frames=noisy_spectra.frames * per_bin.T)
 
 
 # --- serialization -----------------------------------------------------------

@@ -11,26 +11,26 @@ function over immutable inputs and is safe to call concurrently.
 is a Signal with a direct-path index. ``convolve`` transforms a signal
 once for a whole list of equal-length responses.
 
-The first time ``convolve`` or ``analyze`` runs a transform of at least
-``RETAIN_FROM_NFFT`` (2^18) points (for ``analyze``, the points of one
-signal's frames), it tells glibc's allocator, once and for the whole
-process, to keep freed memory instead of returning it to the kernel:
-``mallopt`` raises the mmap threshold to 32 MiB and the trim threshold
-to 64 MiB. Without it, the scratch buffers of a 10 s example's
-552,960-point transforms are mapped fresh and handed back on every
-call, which cost ~14,000 minor page faults and 16-47 ms of system
-time per example (of ~106 ms wall); with it, repeated examples reuse
-the same pages. Shorter transforms (86,400 points for 1 s of speech and a 0.8 s
-response) never turn it on: there the retained memory cost ~7 MB of
-resident set per worker process and no measurable speed. The setting
+The first transform ``convolve`` or ``analyze`` runs, of any size, tells
+glibc's allocator, once and for the whole process, to keep freed memory
+instead of returning it to the kernel: ``mallopt`` raises the mmap
+threshold to 32 MiB and the trim threshold to 64 MiB. Without it, the
+scratch buffers of a 10 s example's 552,960-point transforms are mapped
+fresh and handed back on every call, which cost ~14,000 minor page
+faults and 16-47 ms of system time per example (of ~106 ms wall); with
+it, repeated examples reuse the same pages. Short transforms gain as
+well: a warm 1 s example took 2,565 minor faults under glibc's defaults
+and 0 with the setting on, and the pool workers of a ``build_dataset``
+of 1 s entries took ~345 faults per entry instead of ~1,920. The setting
 applies on glibc only and is a silent no-op elsewhere; it changes no
 arithmetic. The same call sets glibc's arena limit to one, so a helper
 thread (below) allocates from the main heap instead of growing an arena
 of its own: a loop of 40 10 s examples on two threads peaked at 132 MB
 resident without the limit and at 126 MB with it (114 MB on one thread).
 
-The same size rule lets a long transform use a second core. Each
-such call hands its independent transforms to ``_run_split``: the
+A transform of at least ``SPLIT_FROM_POINTS`` (2^18) points (for
+``analyze``, the points of one signal's frames) may use a second core.
+Each such call hands its independent transforms to ``_run_split``: the
 caller's thread and one fresh helper per further usable core each take
 the next transform not yet taken, so a helper that gets no core soon
 leaves the rest to the caller. A long ``convolve`` splits twice, first
@@ -56,10 +56,10 @@ more still starts the helper (an effect not measured). Nor is the
 machine's load read, so beside an unrelated busy process a 10 s example
 keeps its helper. Shorter transforms, such as those of 1 s entries,
 start no thread. No option or variable sets the count. The helpers run
-only ``scipy.fft`` and numpy, never a function that ``pipeline`` calls
-by name, and are joined before the call returns, so no thread is alive
-across a ``fork``; each transform is computed exactly as on one thread,
-so results are bit-identical either way.
+only numpy, never a function that ``pipeline`` calls by name, and are
+joined before the call returns, so no thread is alive across a
+``fork``; each transform is computed exactly as on one thread, so
+results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import (
     DegenerateEnergyError,
@@ -86,7 +85,7 @@ from .errors import (
 DEFAULT_SAMPLE_RATE = 48000
 WINDOW_MS = 20.0
 FRAME_ADVANCE_MS = 10.0
-RETAIN_FROM_NFFT = 1 << 18  # transform length that keeps freed memory and may use a thread
+SPLIT_FROM_POINTS = 1 << 18  # transform points from which a call may split over threads
 FRAMES_PER_CALL = 256  # analysis frames windowed and transformed per call, on any thread
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
@@ -208,15 +207,34 @@ def _usable_cores() -> int:
 def _transform_threads(points: int) -> int:
     """Threads for a transform of ``points`` points.
 
-    One below ``RETAIN_FROM_NFFT`` or in a process ``multiprocessing``
-    started, else the usable cores. A long transform first turns on the
-    process-wide allocator setting, so its helper threads allocate from
-    the main arena.
+    One below ``SPLIT_FROM_POINTS`` or in a process ``multiprocessing``
+    started, else the usable cores. Every transform first turns on the
+    process-wide allocator setting, so freed buffers are reused and any
+    helper thread allocates from the main arena.
     """
-    if points < RETAIN_FROM_NFFT:
-        return 1
     _retain_freed_memory()
-    return 1 if multiprocessing.parent_process() is not None else _usable_cores()
+    if points < SPLIT_FROM_POINTS or multiprocessing.parent_process() is not None:
+        return 1
+    return _usable_cores()
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= ``n`` (``n`` itself up to 6): a fast real transform size.
+
+    The rule of ``scipy.fft.next_fast_len(n, real=True)``, which
+    ``scipy.signal.fftconvolve`` pads to.
+    """
+    if n <= 6:
+        return n
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5  # 3^b 5^c
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _run_split(calls, threads: int) -> list:
@@ -265,12 +283,13 @@ def convolve(x: Signal, responses: list[Signal],
 
     ``x`` is transformed once, whatever the number of responses, and each
     product is bit-identical to ``scipy.signal.fftconvolve``: the same
-    fast transform size, the signal's spectrum as the first product
-    operand, and a one-tap response (or a one-sample signal) applied as an
-    exact scale instead of a transform round trip. A transform of
-    ``RETAIN_FROM_NFFT`` points or more turns on the process-wide
-    allocator setting and may run its transforms on more than one
-    thread, both described in the module docstring.
+    fast transform size and pocketfft transforms (``numpy.fft``), the
+    signal's spectrum as the first product operand, and a one-tap
+    response (or a one-sample signal) applied as an exact scale instead
+    of a transform round trip. The first transform turns on the
+    process-wide allocator setting, and a transform of
+    ``SPLIT_FROM_POINTS`` points or more may run on more than one thread,
+    both described in the module docstring.
     """
     if not responses:
         raise ParameterError("need at least one impulse response")
@@ -292,15 +311,14 @@ def convolve(x: Signal, responses: list[Signal],
     if len(x) == 1 or n_taps == 1:
         rows = [(x.samples * t)[:n_out] for t in taps]
     else:
-        nfft = sp_fft.next_fast_len(full, real=True)
+        nfft = _fast_len(full)
         threads = _transform_threads(nfft)
         spectrum, products = _run_split(
-            [lambda: sp_fft.rfft(x.samples, nfft),
-             lambda: sp_fft.rfft(np.stack(taps), nfft, axis=1)], threads)
+            [lambda: np.fft.rfft(x.samples, nfft),
+             lambda: np.fft.rfft(np.stack(taps), nfft, axis=1)], threads)
         np.multiply(spectrum, products, out=products)
         rows = _run_split(
-            [lambda row=row: sp_fft.irfft(row, nfft, overwrite_x=True)[:n_out]
-             for row in products], threads)
+            [lambda row=row: np.fft.irfft(row, nfft)[:n_out] for row in products], threads)
     return [Signal(row, x.sample_rate) for row in rows]
 
 
@@ -359,7 +377,7 @@ def analyze(signals: list[Signal]) -> list[FrameSpectra]:
     signal's own sample rate. Frames shorter than one full window at the
     tail are dropped: a 1 s signal at 48 kHz yields 99 frames. Each
     signal's spectra are allocated here and filled ``FRAMES_PER_CALL``
-    frames at a time; when a signal's frames hold ``RETAIN_FROM_NFFT``
+    frames at a time; when a signal's frames hold ``SPLIT_FROM_POINTS``
     points or more, those calls may run on separate threads, as described
     in the module docstring.
     """

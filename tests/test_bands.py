@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from rirshape import (BandMatrix, ParameterError, SampleRateMismatchError,
                       ShapeMismatchError, Signal, analyze, apply_gains, band_energies,
@@ -242,6 +243,37 @@ class TestApplyGains:
         gains = BandMatrix(np.ones((spectra.n_frames + 1, 32)), "gain")
         with pytest.raises(ShapeMismatchError):
             apply_gains(spectra, gains, fb)
+
+
+class TestSparseProductReference:
+    """Each band product is bit-identical to the same product through a CSR copy of the weights."""
+
+    @pytest.fixture(params=[16000, 22050, 48000, 96000])
+    def banks(self, request):
+        bank = design_erb_filterbank(request.param)
+        return [bank, bank.rectangularized()]
+
+    @pytest.mark.parametrize("n_frames", [1, 99, 1049])
+    def test_band_energies(self, banks, n_frames):
+        rng = np.random.default_rng(n_frames)
+        shape = (n_frames, banks[0].n_bins)
+        spectra = FrameSpectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                               banks[0].sample_rate)
+        for bank in banks:
+            sparse = csr_array(bank.weights).dot((np.abs(spectra.frames) ** 2).T).T
+            assert np.array_equal(band_energies(spectra, bank).values, np.sqrt(sparse))
+
+    @pytest.mark.parametrize("n_frames", [1, 99, 1049])
+    def test_apply_gains(self, banks, n_frames):
+        rng = np.random.default_rng(n_frames + 1)
+        shape = (n_frames, banks[0].n_bins)
+        spectra = FrameSpectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                               banks[0].sample_rate)
+        gains = BandMatrix(rng.uniform(0.0, 1.0, (n_frames, banks[0].n_bands)), "gain")
+        for bank in banks:
+            per_bin = csr_array(bank.weights).T.dot(gains.values.T).T
+            assert np.array_equal(apply_gains(spectra, gains, bank).frames,
+                                  spectra.frames * per_bin)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -1,7 +1,7 @@
 """Every stage ``pipeline`` calls runs on the caller's thread.
 
 ``dsp`` may split a long transform over helper threads, but only inside
-``dsp``: the helpers run scipy and numpy, never a function reached
+``dsp``: the helpers run numpy only, never a function reached
 through a ``pipeline`` name. A profiler or tracer that keeps one call
 stack around those names (as the benchmark's does) then sees every call
 nest on one thread. This wraps each such name with a recorder of the

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 import rirshape
@@ -20,7 +21,7 @@ from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterErr
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
                       synthesize)
 from rirshape import dsp
-from rirshape.dsp import (FRAMES_PER_CALL, RETAIN_FROM_NFFT, FrameSpectra,
+from rirshape.dsp import (FRAMES_PER_CALL, SPLIT_FROM_POINTS, FrameSpectra,
                           fit_noise_length, frame_lengths)
 from rirshape.shaping import Rir
 
@@ -143,6 +144,12 @@ class TestConvolve:
             assert len(rows) == 3
             for row, response in zip(rows, responses):
                 assert np.array_equal(row.samples, fftconvolve(x, response)[:length])
+
+    def test_fast_len_matches_scipy(self):
+        rng = np.random.default_rng(17)
+        sizes = [*range(1, (1 << 17) + 1), *rng.integers(1, 10 ** 9, 2000).tolist()]
+        assert [dsp._fast_len(n) for n in sizes] == [next_fast_len(n, real=True)
+                                                      for n in sizes]
 
     def test_mismatched_response_lengths_rejected(self):
         x = Signal(np.ones(100), FS)
@@ -404,19 +411,19 @@ class TestThreadedTransforms:
 
     def test_thread_count_is_the_free_cores(self, monkeypatch):
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
-        assert dsp._transform_threads(RETAIN_FROM_NFFT - 1) == 1
-        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
+        assert dsp._transform_threads(SPLIT_FROM_POINTS - 1) == 1
+        assert dsp._transform_threads(SPLIT_FROM_POINTS) == 3
 
     def test_thread_count_follows_the_affinity_mask(self, cores, monkeypatch):
         rng = np.random.default_rng(4)
         x = Signal(rng.standard_normal(self.N_X), FS)
         responses = [Rir(rng.standard_normal(self.N_H), FS)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 1
+        assert dsp._transform_threads(SPLIT_FROM_POINTS) == 1
         convolve(x, responses)
         assert CountingThread.started == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 3
+        assert dsp._transform_threads(SPLIT_FROM_POINTS) == 3
         convolve(x, responses)
         assert CountingThread.started == 1  # two forward transforms: one helper
 
@@ -426,9 +433,9 @@ class TestThreadedTransforms:
         # the forked worker inherits the patched cores, so only the worker
         # rule can bring its count down to one
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
-        assert dsp._transform_threads(RETAIN_FROM_NFFT) == 2
+        assert dsp._transform_threads(SPLIT_FROM_POINTS) == 2
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            assert pool.submit(dsp._transform_threads, RETAIN_FROM_NFFT).result(60) == 1
+            assert pool.submit(dsp._transform_threads, SPLIT_FROM_POINTS).result(60) == 1
 
     def test_caller_runs_the_calls_a_helper_does_not_reach(self, monkeypatch):
         gate = threading.Event()
@@ -485,8 +492,10 @@ def run_fresh(script: str) -> str:
 
 @pytest.mark.skipif(not GLIBC, reason="the allocator setting applies to glibc only")
 class TestFreedMemoryStaysInProcess:
-    def test_warm_10s_example_takes_no_page_faults(self):
-        out = run_fresh("""
+    @staticmethod
+    def warm_example_faults(seconds: int, room_s: float, noise_s: int) -> tuple[int, list[str]]:
+        """Minor faults of a fresh process's third example, and the threads per transform."""
+        out = run_fresh(f"""
 import resource
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, dsp, synth_rir
@@ -495,9 +504,9 @@ dsp._usable_cores = lambda: 2  # start helper threads whatever the host's cores
 rule, threads = dsp._transform_threads, []
 dsp._transform_threads = lambda points: threads.append(rule(points)) or threads[-1]
 rng = np.random.default_rng(0)
-speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
-noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
-h0 = synth_rir(1.0, seed=1)
+speech = Signal(0.1 * rng.standard_normal({seconds} * 48000), 48000)
+noise = Signal(0.05 * rng.standard_normal({noise_s} * 48000), 48000)
+h0 = synth_rir({room_s}, seed=1)
 params = ShapingParams(Strategy.ATTENUATED_DECAYED)
 for seed in range(2):
     generate_example(speech, noise, h0, params, 10.0, seed=seed)
@@ -506,10 +515,19 @@ generate_example(speech, noise, h0, params, 10.0, seed=2)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *threads)
 """)
         faults, *threads = out.split()
-        assert int(faults) < 300, f"{faults} minor faults; threads per long transform: {threads}"
+        return int(faults), threads
+
+    def test_warm_10s_example_takes_no_page_faults(self):
+        faults, threads = self.warm_example_faults(10, 1.0, 4)
+        assert faults < 300, f"{faults} minor faults; threads per long transform: {threads}"
+
+    def test_warm_1s_example_takes_no_page_faults(self):
+        # 1 s transforms start no thread, but still turn the setting on
+        faults, threads = self.warm_example_faults(1, 0.8, 1)
+        assert faults < 100, f"{faults} minor faults; threads per transform: {threads}"
 
     @pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
-    def test_one_second_convolutions_leave_the_setting_off(self):
+    def test_one_second_convolutions_turn_the_setting_on(self):
         # With glibc's default (dynamic) threshold, which 1 s transforms keep
         # far below 16 MiB, a 16 MiB malloc gets its own mmap; with the setting
         # on, blocks up to 32 MiB come from the heap instead.
@@ -538,7 +556,7 @@ block = libc.malloc(16 << 20)
 print(libc.mallinfo2().hblks - mapped_before)
 libc.free(block)
 """)
-        assert int(out) == 1
+        assert int(out) == 0
 
 
 @pytest.mark.skipif(not GLIBC, reason="the arena setting applies to glibc only")

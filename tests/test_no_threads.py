@@ -1,9 +1,9 @@
 """Only ``rirshape.dsp`` starts threads.
 
 ``dsp`` splits its long transforms over helper threads that call only
-``scipy.fft`` and numpy. The benchmark tracer keeps one span stack per
-process around the names ``pipeline`` calls, so a thread started
-anywhere else could run a traced call off the main thread. This walks
+numpy. The benchmark tracer keeps one span stack per process around the
+names ``pipeline`` calls, so a thread started anywhere else could run a
+traced call off the main thread. This walks
 the package source and names every import of a thread module and every
 thread pool reached by attribute outside ``dsp.py``. Process pools (``ProcessPoolExecutor``) are allowed.
 """
