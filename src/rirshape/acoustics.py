@@ -8,7 +8,7 @@ estimate, and the energy ratio across the early/late boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,17 +114,8 @@ class ShapingReport:
     drr_after_db: float
     drr_boundary: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def to_kv(self) -> str:
-        return kvtext.dump_kv(self.as_dict())
-
-    def to_csv_row(self) -> str:
-        return ",".join(kvtext.kv_str(v) for v in self.as_dict().values())
-
-
-ShapingReport.CSV_HEADER = ",".join(f.name for f in fields(ShapingReport))
+        return kvtext.dump_kv(asdict(self))
 
 
 def verify_shaping(h0: Rir, h1: Rir, params: ShapingParams) -> ShapingReport:

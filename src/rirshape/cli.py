@@ -35,14 +35,6 @@ def _out_path(explicit, default_name: str) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, ".")) / default_name
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and then one row per index of ``columns``, each value as ``.9g``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format(v, ".9g") for v in row) + "\n")
-
-
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
@@ -107,7 +99,8 @@ def cmd_analyze_rir(args) -> int:
     sys.stdout.write(kvtext.dump_kv(record))
     if args.edc_csv:
         curve = acoustics.energy_decay_curve(rir)
-        _write_csv(args.edc_csv, "t_s,level_db", [curve.times, curve.levels])
+        rows = [["t_s", "level_db"], *zip(curve.times, curve.levels)]
+        Path(args.edc_csv).write_text(kvtext.csv_text(rows), encoding="utf-8")
         print(f"wrote {args.edc_csv}")
     return 0
 
@@ -121,10 +114,10 @@ def cmd_verify(args) -> int:
     if args.csv:
         path = Path(args.csv)
         new = not path.exists() or path.stat().st_size == 0
+        record = dataclasses.asdict(report)
+        rows = [record.keys(), record.values()] if new else [record.values()]
         with open(path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(report.CSV_HEADER + "\n")
-            fh.write(report.to_csv_row() + "\n")
+            fh.write(kvtext.csv_text(rows))
     return 0
 
 
@@ -184,19 +177,19 @@ def cmd_plot_data(args) -> int:
     t = np.arange(int(round(intervals)) + 1) * args.step
 
     if args.function == "D":
-        header, columns = "t_s,D", [shaping.decay_function(t, params)]
+        header, columns = ["t_s", "D"], [shaping.decay_function(t, params)]
     elif args.function == "A":
-        header, columns = "t_s,A", [shaping.attenuation_function(t, params)]
+        header, columns = ["t_s", "A"], [shaping.attenuation_function(t, params)]
     else:
         envelope = 10.0 ** (-3.0 * t / args.rt60)
         strategies = (shaping.Strategy.NONE, shaping.Strategy.DECAYED,
                       shaping.Strategy.ATTENUATED_DECAYED)
-        header = "t_s," + ",".join(s.value.replace("-", "_") for s in strategies)
+        header = ["t_s", *(s.value.replace("-", "_") for s in strategies)]
         columns = [envelope * shaping.shaping_gain(t, dataclasses.replace(params, strategy=s))
                    for s in strategies]
 
     out = _out_path(args.out, f"curve_{args.function.replace('-', '_')}.csv")
-    _write_csv(out, header, [t, *columns])
+    out.write_text(kvtext.csv_text([header, *zip(t, *columns)]), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

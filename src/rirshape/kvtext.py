@@ -5,10 +5,14 @@ starting with ``#`` are ignored. A ``[name]`` line starts a new named
 record, so one text can hold several; the lines before the first header
 form an unnamed record. Manifests use sections; RIR metadata sidecars,
 verification reports, dataset metadata and summary files and the CLI
-config file are a single record without headers.
+config file are a single record without headers. CSV records, written by
+``csv_text``, render their values the same way.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 from .errors import KvFormatError
 
@@ -32,6 +36,21 @@ def dump_kv(record: dict) -> str:
     lines = [f"{key}={kv_str(value)}".translate(_LINE_BREAKS)
              for key, value in record.items()]
     return "\n".join(lines) + "\n"
+
+
+def csv_text(rows) -> str:
+    """One ``\\n``-terminated CSV record per row, each value rendered by ``kv_str``.
+
+    ``csv`` leaves a bare ``\\r`` unquoted, yet readers end a row there, so a
+    row holding one has every field quoted.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        values = [kv_str(value) for value in row]
+        (quoted if any("\r" in value for value in values) else writer).writerow(values)
+    return out.getvalue()
 
 
 def parse_sections(text: str) -> list[tuple[str | None, dict[str, str]]]:

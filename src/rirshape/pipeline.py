@@ -11,12 +11,10 @@ under any worker count or scheduling order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,9 @@ DEFAULT_SNR_RANGE = (-5.0, 45.0)
 DEFAULT_P_NOISE_FREE = 0.05
 TAIL_SECONDS = 0.5  # reverberant tail kept past the end of the speech
 RT60_BIN_WIDTH = 0.2  # seconds per bucket of the summary's RT60 histogram
+# summary.csv columns after entry_id, ok and reason: header name -> meta.txt key
+SUMMARY_COLUMNS = {"snr_db": "snr_db", "noise_free": "noise_free",
+                   "rt60_estimate": "rt60_input_estimate", "strategy": "strategy"}
 
 
 @dataclass(slots=True)
@@ -334,13 +335,15 @@ def load_manifest(path) -> DatasetManifest:
 
 @dataclass
 class EntryResult:
+    """An entry's outcome and ``record``, the dict it wrote as ``<id>.meta.txt``.
+
+    A failed entry writes no files, and its record holds only its ``strategy``.
+    """
+
     entry_id: str
     ok: bool
     reason: str | None = None
-    snr_db: float | None = None
-    noise_free: bool | None = None
-    rt60_estimate: float | None = None
-    strategy: str | None = None
+    record: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -364,9 +367,10 @@ class DatasetSummary:
         """Counts of estimated input-room RT60 per ``RT60_BIN_WIDTH``-second bucket."""
         histogram: dict[str, int] = {}
         for result in self.results:
-            if result.rt60_estimate is None:
+            rt60 = result.record.get(SUMMARY_COLUMNS["rt60_estimate"])
+            if rt60 is None:
                 continue
-            lo = math.floor(result.rt60_estimate / RT60_BIN_WIDTH) * RT60_BIN_WIDTH
+            lo = math.floor(rt60 / RT60_BIN_WIDTH) * RT60_BIN_WIDTH
             label = f"{lo:.1f}-{lo + RT60_BIN_WIDTH:.1f}"
             histogram[label] = histogram.get(label, 0) + 1
         return dict(sorted(histogram.items()))
@@ -381,15 +385,9 @@ class DatasetSummary:
         return kvtext.dump_kv(record)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        # a "\n" terminator leaves a bare "\r" unquoted, yet readers end a row there
-        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(f.name for f in fields(EntryResult))
-        for r in self.results:
-            row = [kvtext.kv_str(v) for v in astuple(replace(r, reason=r.reason or ""))]
-            (quoted if any("\r" in value for value in row) else writer).writerow(row)
-        return out.getvalue()
+        rows = [[r.entry_id, r.ok, r.reason or "", *map(r.record.get, SUMMARY_COLUMNS.values())]
+                for r in self.results]
+        return kvtext.csv_text([["entry_id", "ok", "reason", *SUMMARY_COLUMNS], *rows])
 
 
 def _process_entry(task) -> EntryResult:
@@ -421,19 +419,14 @@ def _process_entry(task) -> EntryResult:
         write_wav(example.target, out / f"{entry_id}.target.wav")
         write_band_matrix_csv(example.gains, out / f"{entry_id}.gains.csv",
                               example.input.sample_rate)
-        metadata = {"entry_id": entry_id, "speech": entry.speech, "noise": entry.noise,
-                    "rir": entry.rir or f"synth(rt60={entry.rir_rt60})",
-                    **example.metadata}
-        kvtext.save_kv(metadata, out / f"{entry_id}.meta.txt")
-
-        return EntryResult(entry_id, True, None,
-                           snr_db=example.metadata["snr_db"],
-                           noise_free=example.metadata["noise_free"],
-                           rt60_estimate=example.metadata["rt60_input_estimate"],
-                           strategy=params.strategy.value)
+        record = {"entry_id": entry_id, "speech": entry.speech, "noise": entry.noise,
+                  "rir": entry.rir or f"synth(rt60={entry.rir_rt60})",
+                  **example.metadata}
+        kvtext.save_kv(record, out / f"{entry_id}.meta.txt")
+        return EntryResult(entry_id, True, record=record)
     except (RirshapeError, OSError) as exc:  # bad data fails its entry; a bug propagates
         return EntryResult(entry_id, False, f"{type(exc).__name__}: {exc}",
-                           strategy=entry.strategy.value)
+                           record={"strategy": entry.strategy.value})
 
 
 def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> DatasetSummary:

@@ -157,4 +157,3 @@ class TestVerifyShaping:
         record = parse_kv(report.to_kv())
         assert record["strategy"] == "attenuated-decayed"
         assert float(record["r1_estimate"]) == pytest.approx(report.r1_estimate, rel=1e-6)
-        assert len(report.to_csv_row().split(",")) == len(report.CSV_HEADER.split(","))

@@ -1,7 +1,13 @@
-import pytest
+import csv
+import io
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from rirshape import synth_rir, write_rir
+from rirshape.cli import main
 from rirshape.errors import KvFormatError, RirshapeError
-from rirshape.kvtext import dump_kv, load_kv, parse_kv, parse_sections
+from rirshape.kvtext import csv_text, dump_kv, kv_str, load_kv, parse_kv, parse_sections
 
 
 class TestParseSections:
@@ -64,3 +70,29 @@ class TestLoadKv:
         path.write_bytes(b"direct_index=\xff\n")
         with pytest.raises(KvFormatError, match="sidecar.meta.txt"):
             load_kv(path)
+
+
+CSV_VALUES = st.one_of(st.text(',"\r\n a=\x85\u2028'), st.text(), st.floats(),
+                       st.booleans(), st.none())
+
+
+class TestCsvText:
+    @given(st.lists(st.lists(CSV_VALUES, max_size=5)))
+    @example([["a,b", 'say "hi"', "\r", "x\ny", float("inf"), None, False]])
+    @example([[""], [], ["\r\n"]])
+    def test_reader_gives_back_each_rows_kv_str(self, rows):
+        text = csv_text(rows)
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            [kv_str(value) for value in row] for row in rows]
+
+    def test_verify_rows_match_the_header(self, tmp_path, capsys):
+        room, report = tmp_path / "room.wav", tmp_path / "reports.csv"
+        write_rir(synth_rir(0.5, seed=21), room)
+        for strategy in ("none", "decayed", "attenuated-decayed"):
+            assert main(["verify", str(room), "--strategy", strategy,
+                         "--csv", str(report)]) == 0
+        capsys.readouterr()
+        with open(report, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 3
+        assert {len(row) for row in rows} == {len(header)}

@@ -15,7 +15,7 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
 from rirshape import dsp, pipeline
-from rirshape.kvtext import dump_kv, parse_kv
+from rirshape.kvtext import dump_kv, load_kv, parse_kv
 from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, ManifestEntry,
                                format_manifest, load_manifest)
 from conftest import noise_like, speech_like
@@ -487,6 +487,29 @@ class TestBuildDataset:
         assert {len(row) for row in rows} == {7}
         assert rows[2][2] == reason
 
+    def test_meta_and_summary_schemas(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.entries[1].speech = str(corpus / "missing.wav")
+        manifest.entries[2].noise = None  # noise-free: snr_db=none
+        build_dataset(manifest, corpus / "out")
+        with open(corpus / "out" / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["entry_id", "ok", "reason", "snr_db", "noise_free",
+                          "rt60_estimate", "strategy"]
+        ok_rows, failed_row = (rows[0], rows[2]), rows[1]
+        for row in ok_rows:
+            meta = load_kv(corpus / "out" / f"{row[0]}.meta.txt")
+            assert list(meta) == [
+                "entry_id", "speech", "noise", "rir", "seed", "snr_db", "noise_free",
+                "noise_gain", "strategy", "t0", "t1", "alpha", "rd", "rt60_input_estimate",
+                "rt60_target_predicted", "n_frames", "sample_rate"]
+            assert row[1:3] == ["true", ""]
+            assert row[3:] == [meta[key] for key in ("snr_db", "noise_free",
+                                                     "rt60_input_estimate", "strategy")]
+        assert failed_row[:2] == ["ex00001", "false"]
+        assert failed_row[3:] == ["none", "none", "none", manifest.entries[1].strategy.value]
+        assert rows[2][3:5] == ["none", "true"]  # the noise-free entry
+
     def test_summary_txt_keeps_one_line_per_key(self, corpus):
         odd = corpus / "a\nb.wav"
         odd.write_bytes(b"not a wave file")
@@ -521,7 +544,7 @@ class TestBuildDataset:
         summary = build_dataset(DatasetManifest([entry]), corpus / "out")
         assert summary.n_failed == 1
         assert summary.failures()[0].reason.startswith("FileNotFoundError: ")
-        assert summary.failures()[0].strategy == "none"
+        assert summary.failures()[0].record == {"strategy": "none"}
 
     def test_unknown_strategy_rejected_before_any_write(self, corpus):
         manifest = small_manifest(corpus)
