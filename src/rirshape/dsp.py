@@ -180,20 +180,39 @@ def power_complementary_window(length: int) -> np.ndarray:
 
 
 @functools.cache
-def _retain_freed_memory() -> None:
-    """Make glibc keep freed blocks of up to 32 MiB for reuse, in one arena (once per process)."""
+def _allocator():
+    """glibc's ``mallopt`` and ``malloc_trim`` through ctypes, or None elsewhere (looked up once)."""
     if platform.libc_ver()[0] != "glibc":
-        return
+        return None
     import ctypes
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (OSError, AttributeError):
-        return
+        return None
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_ARENA_MAX, 1)
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    mallopt.restype = malloc_trim.restype = ctypes.c_int
+    return mallopt, malloc_trim
+
+
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Make glibc keep freed blocks of up to 32 MiB for reuse, in one arena (once per process)."""
+    allocator = _allocator()
+    if allocator is not None:
+        mallopt, _ = allocator
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(_M_ARENA_MAX, 1)
+
+
+def _release_freed_memory() -> None:
+    """Hand the heap's free pages back to the kernel (glibc's ``malloc_trim(0)``), before a fork."""
+    allocator = _allocator()
+    if allocator is not None:
+        _, malloc_trim = allocator
+        malloc_trim(0)
 
 
 def _usable_cores() -> int:

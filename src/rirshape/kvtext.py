@@ -13,21 +13,24 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 from .errors import KvFormatError
 
 # every character str.splitlines() breaks on, escaped as in a Python literal
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+# characters that make ``csv`` quote a value, besides the comma
+_QUOTED = re.compile('["\\n\\r]')
 
 
 def kv_str(value) -> str:
     """Render a value for a key=value line (deterministic across runs)."""
+    if isinstance(value, float):  # first: the common case in CSV rows
+        return format(value, ".9g")
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".9g")
     return str(value)
 
 
@@ -41,16 +44,24 @@ def dump_kv(record: dict) -> str:
 def csv_text(rows) -> str:
     """One ``\\n``-terminated CSV record per row, each value rendered by ``kv_str``.
 
-    ``csv`` leaves a bare ``\\r`` unquoted, yet readers end a row there, so a
-    row holding one has every field quoted.
+    A row is its values joined by commas, which is what ``csv`` writes
+    when no value holds a comma, quote or line break (and the row is not
+    one empty value); any other row goes through ``csv``. ``csv`` leaves a
+    bare ``\\r`` unquoted, yet readers end a row there, so a row holding
+    one has every field quoted.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    lines = []
     for row in rows:
         values = [kv_str(value) for value in row]
-        (quoted if any("\r" in value for value in values) else writer).writerow(values)
-    return out.getvalue()
+        line = ",".join(values)
+        if line.count(",") >= len(values) or _QUOTED.search(line) or values == [""]:
+            out = io.StringIO()
+            quoting = csv.QUOTE_ALL if "\r" in line else csv.QUOTE_MINIMAL
+            csv.writer(out, lineterminator="\n", quoting=quoting).writerow(values)
+            line = out.getvalue()[:-1]
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_sections(text: str) -> list[tuple[str | None, dict[str, str]]]:

@@ -23,7 +23,8 @@ from . import kvtext
 from .acoustics import estimate_rt60
 from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gains,
                     write_band_matrix_csv)
-from .dsp import DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, analyze, convolve, mix_at_snr
+from .dsp import (DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, _release_freed_memory, analyze,
+                  convolve, mix_at_snr)
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      UndefinedDecayError)
 from .shaping import (Rir, ShapingParams, Strategy, check_synth_args, read_rir, shape_rir,
@@ -439,8 +440,10 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     any other exception is a bug and propagates, with no summary written.
     A bad entry or a repeated id is a ManifestError, and a ``workers``
     count below 1 a ParameterError, raised before anything is written.
-    With ``workers`` > 1 entries are processed in parallel; outputs are
-    byte-identical regardless of worker count.
+    With ``workers`` > 1 entries are processed in parallel, by at most one
+    process per entry, started after the parent's free heap is handed back
+    to the kernel (see ``rirshape.dsp``); outputs are byte-identical
+    regardless of worker count.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
@@ -450,7 +453,10 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     tasks = [(i, entry, manifest.seed, manifest.snr_range, manifest.p_noise_free,
               str(out)) for i, entry in enumerate(manifest.entries)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # forked workers start from the parent's live heap, not its retained free one,
+        # and all start at once, so never more of them than entries
+        _release_freed_memory()
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_process_entry, tasks))
     else:
         results = [_process_entry(task) for task in tasks]

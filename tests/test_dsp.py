@@ -19,7 +19,7 @@ import rirshape
 from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterError,
                       SampleRateMismatchError, Signal, TooShortError, analyze,
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
-                      synthesize)
+                      synthesize, write_wav)
 from rirshape import dsp
 from rirshape.dsp import (FRAMES_PER_CALL, SPLIT_FROM_POINTS, FrameSpectra,
                           fit_noise_length, frame_lengths)
@@ -479,6 +479,19 @@ GLIBC = platform.libc_ver()[0] == "glibc"
 HAS_MALLINFO2 = GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")
 
 
+# a fresh script's prelude: ``libc.mallinfo2()``, glibc's heap statistics
+MALLINFO2 = """
+import ctypes
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes = ()
+libc.mallinfo2.restype = Mallinfo2
+"""
+
+
 def run_fresh(script: str) -> str:
     """Run ``script`` in a new interpreter that imports this rirshape; return stdout."""
     src = str(Path(rirshape.__file__).resolve().parents[1])
@@ -526,22 +539,32 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *threads)
         faults, threads = self.warm_example_faults(1, 0.8, 1)
         assert faults < 100, f"{faults} minor faults; threads per transform: {threads}"
 
+    def test_reads_before_any_transform_reuse_their_buffers(self, tmp_path):
+        # a process's first read maps its heap; under glibc's defaults each
+        # later 10.5 s pcm24 read mapped its buffers anew (~2,300 faults)
+        write_wav(Signal(0.1 * np.random.default_rng(0).standard_normal(504_000), FS),
+                  tmp_path / "speech.wav", encoding="pcm24")
+        out = run_fresh(f"""
+import resource
+from rirshape import read_wav
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    read_wav({str(tmp_path / "speech.wav")!r})
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+""")
+        first, *later = out.split()
+        assert all(int(f) < 300 for f in later), f"minor faults per read: {first} {later}"
+
     @pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
     def test_one_second_convolutions_turn_the_setting_on(self):
         # With glibc's default (dynamic) threshold, which 1 s transforms keep
         # far below 16 MiB, a 16 MiB malloc gets its own mmap; with the setting
         # on, blocks up to 32 MiB come from the heap instead.
-        out = run_fresh("""
-import ctypes
+        out = run_fresh(MALLINFO2 + """
 import numpy as np
 from rirshape import Signal, convolve, synth_rir
-class Mallinfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
-        "uordblks", "fordblks", "keepcost")]
-libc = ctypes.CDLL(None)
-libc.mallinfo2.argtypes = ()
-libc.mallinfo2.restype = Mallinfo2
 libc.malloc.argtypes = (ctypes.c_size_t,)
 libc.malloc.restype = ctypes.c_void_p
 libc.free.argtypes = (ctypes.c_void_p,)
@@ -623,3 +646,35 @@ build_dataset(manifest, root / "w1", workers=1)
 print(pooled.n_ok, len(digests(root / "w2")), digests(root / "w2") == digests(root / "w1"))
 """)
     assert out.split() == ["4", "18", "True"]
+
+
+@pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
+def test_pool_workers_start_without_the_parents_free_heap(tmp_path):
+    # a 10 s example leaves ~40 MB of freed transform buffers in the parent's
+    # heap; build_dataset hands them back before it forks, so no worker holds them
+    out = run_fresh(MALLINFO2 + f"""
+import os, pathlib
+import numpy as np
+from rirshape import ShapingParams, Signal, Strategy, pipeline, synth_rir, write_wav
+from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset, generate_example
+root = pathlib.Path({str(tmp_path)!r})
+rng = np.random.default_rng(0)
+generate_example(Signal(0.1 * rng.standard_normal(10 * 48000), 48000),
+                 Signal(0.05 * rng.standard_normal(4 * 48000), 48000), synth_rir(1.0, seed=1),
+                 ShapingParams(Strategy.ATTENUATED_DECAYED), 10.0, seed=0)
+parent_free = libc.mallinfo2().fordblks
+write_wav(Signal(0.1 * rng.standard_normal(48000), 48000), root / "short.wav")
+process_entry = pipeline._process_entry
+def report_free_heap_first(task):  # each worker's first entry writes its free heap
+    report = root / f"worker{{os.getpid()}}.txt"
+    if not report.exists():
+        report.write_text(str(libc.mallinfo2().fordblks))
+    return process_entry(task)
+pipeline._process_entry = report_free_heap_first
+entries = [ManifestEntry(speech=str(root / "short.wav"), rir_rt60=0.4) for _ in range(4)]
+summary = build_dataset(DatasetManifest(entries, seed=3), root / "out", workers=2)
+print(summary.n_ok, parent_free, *(p.read_text() for p in sorted(root.glob("worker*.txt"))))
+""")
+    n_ok, parent_free, *worker_free = map(int, out.split())
+    assert n_ok == 4 and parent_free > 30e6 and len(worker_free) == 2
+    assert all(free < 8e6 for free in worker_free), f"free heap per worker: {worker_free}"

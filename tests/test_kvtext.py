@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -84,6 +85,25 @@ class TestCsvText:
         text = csv_text(rows)
         assert list(csv.reader(io.StringIO(text, newline=""))) == [
             [kv_str(value) for value in row] for row in rows]
+
+    @given(st.lists(st.lists(CSV_VALUES, max_size=5)))
+    @example([[""], [], ["\r"], ["a\rb", "c"], ['"'], [","], ["\n", 1.5]])
+    def test_bytes_match_the_csv_module(self, rows):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            values = [kv_str(value) for value in row]
+            (quoted if any("\r" in value for value in values) else writer).writerow(values)
+        assert csv_text(rows) == out.getvalue()
+
+    def test_long_numeric_rows_are_their_values_joined(self):
+        rng = np.random.default_rng(5)
+        columns = rng.standard_normal((4, 20_000)) * 10.0 ** rng.integers(-12, 12, (4, 20_000))
+        columns[0, :3] = (np.inf, -np.inf, np.nan)
+        rows = [["t", "a", "b", "c"], *zip(*columns), *zip(range(3), [True, None, 2.5])]
+        assert csv_text(rows) == "".join(
+            ",".join(kv_str(value) for value in row) + "\n" for row in rows)
 
     def test_verify_rows_match_the_header(self, tmp_path, capsys):
         room, report = tmp_path / "room.wav", tmp_path / "reports.csv"

@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -461,6 +462,25 @@ class TestBuildDataset:
         second = snapshot(corpus / "b", 1)
         parallel = snapshot(corpus / "c", 4)
         assert first == second == parallel
+
+    @pytest.mark.parametrize("workers, events", [(1, []), (2, ["release", "pool"])])
+    def test_free_heap_released_once_before_the_pool_starts(self, corpus, monkeypatch,
+                                                            workers, events):
+        seen = []
+        pool = pipeline.ProcessPoolExecutor
+        monkeypatch.setattr(pipeline, "_release_freed_memory", lambda: seen.append("release"))
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: seen.append("pool") or pool(*args, **kwargs))
+        assert build_dataset(small_manifest(corpus), corpus / "out", workers=workers).n_ok == 3
+        assert seen == events
+
+    def test_no_more_workers_than_entries(self, corpus, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: started.append(process) or start(process))
+        summary = build_dataset(small_manifest(corpus, n_entries=2), corpus / "out", workers=8)
+        assert summary.n_ok == 2 and len(started) == 2
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected_before_any_write(self, corpus, workers):
