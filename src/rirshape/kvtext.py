@@ -19,7 +19,7 @@ from .errors import KvFormatError
 
 # every character str.splitlines() breaks on, escaped as in a Python literal
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-# characters that make ``csv`` quote a value, besides the comma
+# a value holding one of these, or a comma, makes ``csv_text`` call ``csv``
 _QUOTED = re.compile('["\\n\\r]')
 
 

@@ -648,33 +648,41 @@ print(pooled.n_ok, len(digests(root / "w2")), digests(root / "w2") == digests(ro
     assert out.split() == ["4", "18", "True"]
 
 
-@pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
+@pytest.mark.skipif(not HAS_MALLINFO2 or not Path("/proc/self/status").exists(),
+                    reason="needs glibc's mallinfo2 (2.33 or later) and /proc/self/status")
 def test_pool_workers_start_without_the_parents_free_heap(tmp_path):
     # a 10 s example leaves ~40 MB of freed transform buffers in the parent's
-    # heap; build_dataset hands them back before it forks, so no worker holds them
+    # heap; build_dataset hands them back before it forks, so no worker holds
+    # them. A worker's resident size shows it; its mallinfo2 free count does
+    # not, since released pages inside the heap still count as free there.
     out = run_fresh(MALLINFO2 + f"""
 import os, pathlib
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, pipeline, synth_rir, write_wav
 from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset, generate_example
+def resident():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
 root = pathlib.Path({str(tmp_path)!r})
 rng = np.random.default_rng(0)
 generate_example(Signal(0.1 * rng.standard_normal(10 * 48000), 48000),
                  Signal(0.05 * rng.standard_normal(4 * 48000), 48000), synth_rir(1.0, seed=1),
                  ShapingParams(Strategy.ATTENUATED_DECAYED), 10.0, seed=0)
-parent_free = libc.mallinfo2().fordblks
 write_wav(Signal(0.1 * rng.standard_normal(48000), 48000), root / "short.wav")
+parent = resident(), libc.mallinfo2().fordblks
 process_entry = pipeline._process_entry
-def report_free_heap_first(task):  # each worker's first entry writes its free heap
+def report_resident_first(task):  # each worker's first entry writes its resident size
     report = root / f"worker{{os.getpid()}}.txt"
     if not report.exists():
-        report.write_text(str(libc.mallinfo2().fordblks))
+        report.write_text(str(resident()))
     return process_entry(task)
-pipeline._process_entry = report_free_heap_first
+pipeline._process_entry = report_resident_first
 entries = [ManifestEntry(speech=str(root / "short.wav"), rir_rt60=0.4) for _ in range(4)]
 summary = build_dataset(DatasetManifest(entries, seed=3), root / "out", workers=2)
-print(summary.n_ok, parent_free, *(p.read_text() for p in sorted(root.glob("worker*.txt"))))
+print(summary.n_ok, *parent, *(p.read_text() for p in sorted(root.glob("worker*.txt"))))
 """)
-    n_ok, parent_free, *worker_free = map(int, out.split())
-    assert n_ok == 4 and parent_free > 30e6 and len(worker_free) == 2
-    assert all(free < 8e6 for free in worker_free), f"free heap per worker: {worker_free}"
+    n_ok, parent_resident, parent_free, *worker_resident = map(int, out.split())
+    assert n_ok == 4 and parent_free > 30 << 20 and len(worker_resident) == 2
+    assert all(r < parent_resident - 0.75 * parent_free for r in worker_resident), (
+        f"parent: {parent_resident >> 20} MiB resident, {parent_free >> 20} MiB free heap; "
+        f"workers at their first entry: {[r >> 20 for r in worker_resident]} MiB resident")
