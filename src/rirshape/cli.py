@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
 def cmd_gains(args) -> int:
     _require(args, "input", "target")
     noisy = wavio.read_wav(args.input)
-    gains, noisy_spectra = pipeline.pair_gains(noisy, wavio.read_wav(args.target))
+    gains = pipeline.pair_gains(noisy, wavio.read_wav(args.target))
     suffix = ".gains.f32" if args.binary else ".gains.csv"
     out = _out_path(args.out, Path(args.input).stem + suffix)
     write = bands.write_band_matrix_raw if args.binary else bands.write_band_matrix_csv
@@ -134,7 +134,7 @@ def cmd_gains(args) -> int:
         fb = bands.design_erb_filterbank(noisy.sample_rate)
         if args.mode == "rectangular":
             fb = fb.rectangularized()
-        filtered = bands.apply_gains(noisy_spectra, gains, fb)
+        filtered = bands.apply_gains(dsp.analyze([noisy])[0], gains, fb)
         wavio.write_wav(dsp.synthesize(filtered), args.apply_out)
         print(f"wrote {args.apply_out}")
     return 0

@@ -11,35 +11,36 @@ function over immutable inputs and is safe to call concurrently.
 is a Signal with a direct-path index. ``convolve`` transforms a signal
 once for a whole list of equal-length responses.
 
-The process's first large buffer, that of its first ``wavio.read_wav``
-or of the first transform ``convolve`` or ``analyze`` runs, of any size,
-tells glibc's allocator, once and for the whole process, to keep freed
-memory instead of returning it to the kernel: ``mallopt`` raises the mmap
-threshold to 32 MiB and the trim threshold to 64 MiB. Without it, the
-scratch buffers of a 10 s example's 552,960-point transforms are mapped
-fresh and handed back on every call, which cost ~14,000 minor page
-faults and 16-47 ms of system time per example (of ~106 ms wall); with
-it, repeated examples reuse the same pages. Short transforms gain as
-well: a warm 1 s example took 2,565 minor faults under glibc's defaults
-and 0 with the setting on, and the pool workers of a ``build_dataset``
-of 1 s entries took ~345 faults per entry instead of ~1,920. The setting
-applies on glibc only and is a silent no-op elsewhere; it changes no
-arithmetic. The same call sets glibc's arena limit to one, so a helper
-thread (below) allocates from the main heap instead of growing an arena
-of its own: a loop of 40 10 s examples on two threads peaked at 132 MB
-resident without the limit and at 126 MB with it (114 MB on one thread).
-A 10 s pcm24 read before any transform gains too: 0 minor faults from
-its second read on, instead of ~2,300 on every read.
+Importing this module sets glibc's allocator, once and for the whole
+process, to keep freed memory instead of returning it to the kernel:
+``mallopt`` raises the mmap threshold to 32 MiB and the trim threshold
+to 64 MiB. Without it, the scratch buffers of a 10 s example's
+552,960-point transforms are mapped fresh and handed back on every call,
+which cost ~14,000 minor page faults and 16-47 ms of system time per
+example (of ~106 ms wall); with it, repeated examples reuse the same
+pages. Short transforms gain as well: a warm 1 s example took 2,565
+minor faults under glibc's defaults and 0 with the setting on, and the
+pool workers of a ``build_dataset`` of 1 s entries took ~345 faults per
+entry instead of ~1,920. WAV reads gain too: a 10.5 s pcm24 read takes 0
+minor faults from its second read on, instead of ~2,300 on every read.
+The same call sets glibc's arena limit to one, so a helper thread
+(below) allocates from the main heap instead of growing an arena of its
+own: a loop of 40 10 s examples on two threads peaked at 132 MB resident
+without the limit and at 126 MB with it (114 MB on one thread).
 
-The free heap goes back to the kernel before a fork. ``build_dataset``
-calls ``_release_freed_memory`` (glibc's ``malloc_trim(0)``, a no-op
-elsewhere) once, right before it starts its process pool, so each worker
-starts at about the parent's live size instead of inheriting the freed
-buffers the setting kept: after one 10 s example the parent held 84 MB
-resident, 40 MB of it free heap, and each worker of a following build
-was 69 MB resident at its first entry without the trim and 29 MB with
-it. A ``workers=1`` build and an example loop never trim, so they keep
-their warm heap and fault counts.
+The free heap goes back to the kernel before every fork. The same
+import registers glibc's ``malloc_trim(0)`` with ``os.register_at_fork``,
+so a child, whether a ``build_dataset`` pool worker or any other forked
+process, starts at about the parent's live size instead of inheriting
+the freed buffers the setting kept: after one 10 s example the parent
+held 84 MB resident, 40 MB of it free heap, and each worker of a
+following build was 69 MB resident at its first entry without the trim
+and 29 MB with it. A process that never forks, such as a ``workers=1``
+build or an example loop, never trims, so it keeps its warm heap and
+fault counts. ``subprocess`` starts its children without the hook, and
+so without a trim. All of this applies on glibc only and does nothing
+elsewhere or where ``mallopt`` or ``malloc_trim`` is missing; it
+changes no arithmetic.
 
 A transform of at least ``SPLIT_FROM_POINTS`` (2^18) points (for
 ``analyze``, the points of one signal's frames) may use a second core.
@@ -78,7 +79,8 @@ results are bit-identical either way.
 from __future__ import annotations
 
 import collections
-import functools
+import ctypes
+import math
 import multiprocessing
 import os
 import platform
@@ -192,40 +194,29 @@ def power_complementary_window(length: int) -> np.ndarray:
     return np.sin(0.5 * np.pi * np.sin(np.pi * (k + 0.5) / length) ** 2)
 
 
-@functools.cache
-def _allocator():
-    """glibc's ``mallopt`` and ``malloc_trim`` through ctypes, or None elsewhere (looked up once)."""
+def _configure_allocator() -> None:
+    """Keep freed blocks of up to 32 MiB, in one arena, and trim the free heap before a fork.
+
+    glibc only, through ``ctypes``; does nothing elsewhere or where the
+    lookup fails. Run once, at import.
+    """
     if platform.libc_ver()[0] != "glibc":
-        return None
-    import ctypes
+        return
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (OSError, AttributeError):
-        return None
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     malloc_trim.argtypes = (ctypes.c_size_t,)
     mallopt.restype = malloc_trim.restype = ctypes.c_int
-    return mallopt, malloc_trim
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
+    os.register_at_fork(before=lambda: malloc_trim(0))
 
 
-@functools.cache
-def _retain_freed_memory() -> None:
-    """Make glibc keep freed blocks of up to 32 MiB for reuse, in one arena (once per process)."""
-    allocator = _allocator()
-    if allocator is not None:
-        mallopt, _ = allocator
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-        mallopt(_M_ARENA_MAX, 1)
-
-
-def _release_freed_memory() -> None:
-    """Hand the heap's free pages back to the kernel (glibc's ``malloc_trim(0)``), before a fork."""
-    allocator = _allocator()
-    if allocator is not None:
-        _, malloc_trim = allocator
-        malloc_trim(0)
+_configure_allocator()
 
 
 def _usable_cores() -> int:
@@ -240,11 +231,8 @@ def _transform_threads(points: int) -> int:
     """Threads for a transform of ``points`` points.
 
     One below ``SPLIT_FROM_POINTS`` or in a process ``multiprocessing``
-    started, else the usable cores. Every transform first turns on the
-    process-wide allocator setting, so freed buffers are reused and any
-    helper thread allocates from the main arena.
+    started, else the usable cores.
     """
-    _retain_freed_memory()
     if points < SPLIT_FROM_POINTS or multiprocessing.parent_process() is not None:
         return 1
     return _usable_cores()
@@ -318,10 +306,9 @@ def convolve(x: Signal, responses: list[Signal],
     fast transform size and pocketfft transforms (``numpy.fft``), the
     signal's spectrum as the first product operand, and a one-tap
     response (or a one-sample signal) applied as an exact scale instead
-    of a transform round trip. A transform turns on the process-wide
-    allocator setting, if no read or transform has yet, and a transform of
-    ``SPLIT_FROM_POINTS`` points or more may run on more than one thread,
-    both described in the module docstring.
+    of a transform round trip. A transform of ``SPLIT_FROM_POINTS``
+    points or more may run on more than one thread, as described in the
+    module docstring.
     """
     if not responses:
         raise ParameterError("need at least one impulse response")
@@ -384,6 +371,8 @@ def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
     (mixture, noise_gain)
         The mixture signal and the linear gain applied to the noise,
         chosen so 10*log10(P_speech / P_scaled_noise) equals ``snr_db``.
+        An ``snr_db`` whose gain is zero or infinite in float64 (beyond
+        about +-3,000 dB), or NaN, is a ParameterError.
     """
     if speech.sample_rate != noise.sample_rate:
         raise SampleRateMismatchError(
@@ -395,7 +384,12 @@ def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
         raise DegenerateEnergyError("speech has zero energy")
     if p_noise == 0.0:
         raise DegenerateEnergyError("noise has zero energy")
-    noise_gain = float(np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0))))
+    try:
+        noise_gain = float(np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) beyond a float
+        noise_gain = 0.0
+    if not 0.0 < noise_gain < math.inf:
+        raise ParameterError(f"snr_db={snr_db} dB needs a noise gain beyond the float range")
     mixture = Signal(speech.samples + noise_gain * fitted.samples, speech.sample_rate)
     return mixture, noise_gain
 

@@ -23,8 +23,7 @@ from . import kvtext
 from .acoustics import estimate_rt60
 from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gains,
                     write_band_matrix_csv)
-from .dsp import (DEFAULT_SAMPLE_RATE, FrameSpectra, Signal, _release_freed_memory, analyze,
-                  convolve, mix_at_snr)
+from .dsp import DEFAULT_SAMPLE_RATE, Signal, analyze, convolve, mix_at_snr
 from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
                      UndefinedDecayError)
 from .shaping import (Rir, ShapingParams, Strategy, check_synth_args, read_rir, shape_rir,
@@ -215,7 +214,7 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     else:
         mixture, noise_gain = reverberant, 0.0
 
-    gains, _ = pair_gains(mixture, target)
+    gains = pair_gains(mixture, target)
 
     try:
         rt60_input = estimate_rt60(h0)
@@ -236,21 +235,20 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     return Example(mixture, target, gains, metadata)
 
 
-def pair_gains(input: Signal, target: Signal) -> tuple[BandMatrix, FrameSpectra]:
+def pair_gains(input: Signal, target: Signal) -> BandMatrix:
     """Ideal band gains that turn ``input``'s band energies into ``target``'s.
 
-    Returns the gains, computed with ``design_erb_filterbank`` at the
-    input's sample rate, and the input's frame spectra, for callers that
-    apply the gains. The two signals must be equally long. Both are
-    analyzed in one ``analyze`` call; a signal passed as both input and
-    target, as in a noise-free strategy-``none`` example, is analyzed once.
+    The gains are computed with ``design_erb_filterbank`` at the input's
+    sample rate. The two signals must be equally long. Both are analyzed
+    in one ``analyze`` call; a signal passed as both input and target, as
+    in a noise-free strategy-``none`` example, is analyzed once.
     """
     if len(input) != len(target):
         raise ParameterError("input and target must be equally long")
     spectra = analyze([input] if target is input else [input, target])
     fb = design_erb_filterbank(input.sample_rate)
     energies = [band_energies(s, fb) for s in spectra]
-    return ideal_gains(energies[-1], energies[0]), spectra[0]
+    return ideal_gains(energies[-1], energies[0])
 
 
 # --- manifest text format ----------------------------------------------------
@@ -441,9 +439,9 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     A bad entry or a repeated id is a ManifestError, and a ``workers``
     count below 1 a ParameterError, raised before anything is written.
     With ``workers`` > 1 entries are processed in parallel, by at most one
-    process per entry, started after the parent's free heap is handed back
-    to the kernel (see ``rirshape.dsp``); outputs are byte-identical
-    regardless of worker count.
+    forked process per entry, each started from the parent's trimmed heap
+    (see ``rirshape.dsp``); outputs are byte-identical regardless of
+    worker count.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
@@ -453,9 +451,7 @@ def build_dataset(manifest: DatasetManifest, out_dir, workers: int = 1) -> Datas
     tasks = [(i, entry, manifest.seed, manifest.snr_range, manifest.p_noise_free,
               str(out)) for i, entry in enumerate(manifest.entries)]
     if workers > 1 and len(tasks) > 1:
-        # forked workers start from the parent's live heap, not its retained free one,
-        # and all start at once, so never more of them than entries
-        _release_freed_memory()
+        # all workers start at once, so never more of them than entries
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_process_entry, tasks))
     else:

@@ -21,7 +21,6 @@ so recorded responses with pre-delay keep their leading taps unshaped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +37,8 @@ DEFAULT_ALPHA = 0.4
 
 MIN_SYNTH_RT60 = 0.05
 MAX_SYNTH_RT60 = 3.0
+MAX_SYNTH_LENGTH = 10.0  # s; the longest room's tail is ~200 dB down by then
+MAX_SYNTH_N_EARLY = 1000  # more than the early window's taps at 48 kHz
 DEFAULT_N_EARLY = 6
 DEFAULT_TAIL_LEVEL = 0.05
 SYNTH_EARLY_WINDOW = (0.002, DEFAULT_T0)  # s after the direct tap, early reflections
@@ -208,13 +209,14 @@ def check_synth_args(rt60: float, length: float | None, n_early: int | None,
     if not MIN_SYNTH_RT60 <= rt60 <= MAX_SYNTH_RT60:
         raise ParameterError(
             f"rt60 must lie in [{MIN_SYNTH_RT60}, {MAX_SYNTH_RT60}] s, got {rt60}")
-    if length is not None and not rt60 <= length < math.inf:
-        raise ParameterError(f"length must be finite and >= rt60 {rt60} s, got {length}")
+    if length is not None and not rt60 <= length <= MAX_SYNTH_LENGTH:
+        raise ParameterError(
+            f"length must lie in [rt60 {rt60}, {MAX_SYNTH_LENGTH}] s, got {length}")
     if not 0.0 < tail_level <= 0.15:
         # keeps the direct tap the peak with overwhelming probability
         raise ParameterError(f"tail_level must lie in (0, 0.15], got {tail_level}")
-    if n_early is not None and n_early < 0:  # None stands for the default count
-        raise ParameterError("n_early must be nonnegative")
+    if n_early is not None and not 0 <= n_early <= MAX_SYNTH_N_EARLY:  # None: the default
+        raise ParameterError(f"n_early must lie in [0, {MAX_SYNTH_N_EARLY}], got {n_early}")
 
 
 def synth_rir(rt60: float, *, length: float | None = None, n_early: int | None = None,

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .dsp import Signal, _retain_freed_memory
+from .dsp import Signal
 from .errors import WavFormatError
 
 _FORMAT_PCM = 0x0001
@@ -24,13 +24,7 @@ ENCODINGS = ("float32", "pcm16", "pcm24")
 
 
 def read_wav(path) -> Signal:
-    """Read a mono WAV file into a normalized float64 signal.
-
-    The first read, like the first transform, turns on the process-wide
-    allocator setting of ``rirshape.dsp``, so repeated reads reuse their
-    buffers.
-    """
-    _retain_freed_memory()
+    """Read a mono WAV file into a normalized float64 signal."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":

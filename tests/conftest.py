@@ -1,9 +1,17 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rirshape
 from rirshape import Signal
 
 FS = 48000
+GLIBC = platform.libc_ver()[0] == "glibc"
 
 
 def speech_like(duration=0.4, seed=0, sample_rate=FS):
@@ -36,3 +44,14 @@ def speech():
 @pytest.fixture
 def noise():
     return noise_like()
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this rirshape; return stdout."""
+    src = str(Path(rirshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

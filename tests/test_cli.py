@@ -383,6 +383,8 @@ class TestMalformedInputs:
         (["plot-data", "D", "--step", "1e-12", "--duration", "1e3"], "1e+15 rows"),
         (["plot-data", "D", "--rd", "1e300"], "2e+303 rows"),
         (["plot-data", "shaped-tail", "--duration", "1e9"], "1e+12 rows"),
+        (["synth-rir", "--rt60", "0.5", "--length", "1e7"], "length"),
+        (["synth-rir", "--rt60", "0.5", "--n-early", "1000000000"], "n_early"),
     ])
     def test_non_finite_or_nonpositive_flag_is_one_error_line(self, tmp_path, rir_file,
                                                                monkeypatch, capsys,

@@ -1,9 +1,6 @@
 import ctypes
 import multiprocessing
 import os
-import platform
-import subprocess
-import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -15,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-import rirshape
 from rirshape import (DegenerateEnergyError, MalformedSpectraError, ParameterError,
                       SampleRateMismatchError, Signal, TooShortError, analyze,
                       convolve, dirac_rir, mix_at_snr, power_complementary_window,
@@ -24,6 +20,7 @@ from rirshape import dsp
 from rirshape.dsp import (FRAMES_PER_CALL, SPLIT_FROM_POINTS, FrameSpectra,
                           fit_noise_length, frame_lengths)
 from rirshape.shaping import Rir
+from conftest import GLIBC, run_fresh
 
 FS = 48000
 
@@ -225,6 +222,14 @@ class TestMixAtSnr:
             fitted = fit_noise_length(noise, length, offset)
             gathered = noise.samples[(offset + np.arange(length)) % n_noise]
             assert np.array_equal(fitted.samples, gathered)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3500.0, -3500.0])
+    def test_snr_beyond_any_float_gain_rejected(self, snr_db):
+        # 10^(snr/10) overflows above ~3083 dB and reaches zero below ~-3233 dB
+        speech = Signal(np.full(480, 0.1), FS)
+        noise = Signal(np.tile([0.1, -0.1], 240), FS)
+        with pytest.raises(ParameterError, match="snr_db"):
+            mix_at_snr(speech, noise, snr_db)
 
     def test_zero_speech_rejected(self):
         with pytest.raises(DegenerateEnergyError):
@@ -475,7 +480,6 @@ class TestSignal:
         assert Signal(np.zeros(FS) + 0.1, FS).duration == pytest.approx(1.0)
 
 
-GLIBC = platform.libc_ver()[0] == "glibc"
 HAS_MALLINFO2 = GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")
 
 
@@ -490,17 +494,6 @@ libc = ctypes.CDLL(None)
 libc.mallinfo2.argtypes = ()
 libc.mallinfo2.restype = Mallinfo2
 """
-
-
-def run_fresh(script: str) -> str:
-    """Run ``script`` in a new interpreter that imports this rirshape; return stdout."""
-    src = str(Path(rirshape.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=False)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 @pytest.mark.skipif(not GLIBC, reason="the allocator setting applies to glibc only")
@@ -558,22 +551,16 @@ print(*faults)
         assert all(int(f) < 300 for f in later), f"minor faults per read: {first} {later}"
 
     @pytest.mark.skipif(not HAS_MALLINFO2, reason="needs glibc's mallinfo2 (2.33 or later)")
-    def test_one_second_convolutions_turn_the_setting_on(self):
-        # With glibc's default (dynamic) threshold, which 1 s transforms keep
-        # far below 16 MiB, a 16 MiB malloc gets its own mmap; with the setting
-        # on, blocks up to 32 MiB come from the heap instead.
+    def test_importing_rirshape_turns_the_setting_on(self):
+        # With glibc's default (dynamic) threshold, which nothing has raised
+        # before any read or transform, a 16 MiB malloc gets its own mmap;
+        # with the setting on, blocks up to 32 MiB come from the heap instead.
         out = run_fresh(MALLINFO2 + """
-import numpy as np
-from rirshape import Signal, convolve, synth_rir
+import rirshape
 libc.malloc.argtypes = (ctypes.c_size_t,)
 libc.malloc.restype = ctypes.c_void_p
 libc.free.argtypes = (ctypes.c_void_p,)
 libc.free.restype = None
-rng = np.random.default_rng(0)
-h0 = synth_rir(0.6, seed=1)
-one_second = Signal(0.1 * rng.standard_normal(48000), 48000)
-for _ in range(3):
-    convolve(one_second, [h0, h0])
 mapped_before = libc.mallinfo2().hblks
 block = libc.malloc(16 << 20)
 print(libc.mallinfo2().hblks - mapped_before)
@@ -646,6 +633,42 @@ build_dataset(manifest, root / "w1", workers=1)
 print(pooled.n_ok, len(digests(root / "w2")), digests(root / "w2") == digests(root / "w1"))
 """)
     assert out.split() == ["4", "18", "True"]
+
+
+@pytest.mark.skipif(not HAS_MALLINFO2 or not Path("/proc/self/status").exists(),
+                    reason="needs glibc's mallinfo2 (2.33 or later) and /proc/self/status")
+def test_bare_fork_child_starts_without_the_parents_free_heap():
+    # not only build_dataset's pool: any fork of a process that imported
+    # rirshape hands the free heap back to the kernel first
+    out = run_fresh(MALLINFO2 + """
+import os
+import numpy as np
+from rirshape import ShapingParams, Signal, Strategy, synth_rir
+from rirshape.pipeline import generate_example
+def resident():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+rng = np.random.default_rng(0)
+generate_example(Signal(0.1 * rng.standard_normal(10 * 48000), 48000),
+                 Signal(0.05 * rng.standard_normal(4 * 48000), 48000), synth_rir(1.0, seed=1),
+                 ShapingParams(Strategy.ATTENUATED_DECAYED), 10.0, seed=0)
+parent = resident(), libc.mallinfo2().fordblks
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(write, str(resident()).encode())
+    os._exit(0)
+os.close(write)
+with os.fdopen(read) as fh:
+    child = fh.read()
+os.waitpid(pid, 0)
+print(*parent, child)
+""")
+    parent_resident, parent_free, child_resident = map(int, out.split())
+    assert parent_free > 30 << 20
+    assert child_resident < parent_resident - 0.75 * parent_free, (
+        f"parent: {parent_resident >> 20} MiB resident, {parent_free >> 20} MiB free heap; "
+        f"child after the fork: {child_resident >> 20} MiB resident")
 
 
 @pytest.mark.skipif(not HAS_MALLINFO2 or not Path("/proc/self/status").exists(),

@@ -16,10 +16,11 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
 from rirshape import dsp, pipeline
+from rirshape.bands import BandMatrix
 from rirshape.kvtext import dump_kv, load_kv, parse_kv
 from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, ManifestEntry,
                                format_manifest, load_manifest)
-from conftest import noise_like, speech_like
+from conftest import GLIBC, noise_like, run_fresh, speech_like
 
 FS = 48000
 
@@ -81,6 +82,14 @@ class TestGenerateExample:
         reference = ideal_gains(band_energies(analyze([example.target])[0], fb),
                                 band_energies(analyze([example.input])[0], fb))
         assert np.array_equal(example.gains.values, reference.values)
+
+    def test_pair_gains_returns_the_ideal_gains_alone(self, speech, noise):
+        noisy, _ = mix_at_snr(speech, noise, 5.0)
+        gains = pipeline.pair_gains(noisy, speech)
+        fb = design_erb_filterbank(FS)
+        reference = ideal_gains(band_energies(analyze([speech])[0], fb),
+                                band_energies(analyze([noisy])[0], fb))
+        assert isinstance(gains, BandMatrix) and np.array_equal(gains.values, reference.values)
 
     def test_full_dereverb_target_is_dry(self, speech):
         h0 = synth_rir(0.8, seed=3)
@@ -262,6 +271,8 @@ class TestManifest:
         "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrd=nan\n",
         "[global]\nsnr_min=-inf\n",
         "[global]\nsnr_max=inf\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_length=1e7\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nrir_n_early=1000000000\n",
     ])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ManifestError):
@@ -463,16 +474,53 @@ class TestBuildDataset:
         parallel = snapshot(corpus / "c", 4)
         assert first == second == parallel
 
-    @pytest.mark.parametrize("workers, events", [(1, []), (2, ["release", "pool"])])
-    def test_free_heap_released_once_before_the_pool_starts(self, corpus, monkeypatch,
-                                                            workers, events):
-        seen = []
-        pool = pipeline.ProcessPoolExecutor
-        monkeypatch.setattr(pipeline, "_release_freed_memory", lambda: seen.append("release"))
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: seen.append("pool") or pool(*args, **kwargs))
-        assert build_dataset(small_manifest(corpus), corpus / "out", workers=workers).n_ok == 3
-        assert seen == events
+    @pytest.mark.skipif(not GLIBC or not Path("/proc/self/status").exists()
+                        or multiprocessing.get_start_method() != "fork",
+                        reason="needs glibc, /proc/self/status and pools that fork")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_build_trims_before_each_fork(self, corpus, workers):
+        # right before each fork, 24 MiB freed into the parent's heap stay
+        # resident; the trim that rirshape.dsp runs at every fork hands them
+        # back, and a workers=1 build, which forks nothing, keeps them
+        (corpus / "m.txt").write_text(format_manifest(small_manifest(corpus)), encoding="utf-8")
+        out = run_fresh(f"""
+import os
+import numpy as np
+from rirshape.pipeline import build_dataset, load_manifest
+def resident():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+fork, drops = os.fork, []
+def measured_fork():
+    np.ones(3 << 20)
+    before = resident()
+    pid = fork()
+    if pid:
+        drops.append(before - resident())
+    return pid
+os.fork = measured_fork
+np.ones(3 << 20)
+start = resident()
+summary = build_dataset(load_manifest({str(corpus / "m.txt")!r}), {str(corpus / "out")!r},
+                        workers={workers})
+print(summary.n_ok, start - resident(), *drops)
+""")
+        n_ok, kept_drop, *fork_drops = map(int, out.split())
+        assert n_ok == 3
+        if workers == 1:
+            assert not fork_drops and kept_drop < 8 << 20, f"{kept_drop >> 20} MiB handed back"
+        else:
+            assert len(fork_drops) == 2 and all(d > 16 << 20 for d in fork_drops), (
+                f"resident drop across each fork: {[d >> 20 for d in fork_drops]} MiB")
+
+    def test_snr_beyond_any_float_gain_fails_its_entry_alone(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.snr_min, manifest.snr_max = -5000.0, 5000.0
+        for entry, snr in zip(manifest.entries, (4000.0, -4000.0, 10.0)):
+            entry.snr = snr
+        summary = build_dataset(manifest, corpus / "out")
+        assert [r.ok for r in summary.results] == [False, False, True]
+        assert all(f.reason.startswith("ParameterError: snr_db") for f in summary.failures())
 
     def test_no_more_workers_than_entries(self, corpus, monkeypatch):
         started = []

@@ -9,7 +9,7 @@ from rirshape import (ParameterError, Rir, ShapingParams, Strategy, UndefinedDec
                       estimate_rt60, predicted_target_distance, predicted_target_rt60,
                       read_rir, shape_rir, synth_rir, write_rir)
 from rirshape.dsp import Signal
-from rirshape.shaping import DEFAULT_N_EARLY
+from rirshape.shaping import DEFAULT_N_EARLY, MAX_SYNTH_LENGTH, MAX_SYNTH_N_EARLY, MAX_SYNTH_RT60
 
 FS = 48000
 
@@ -245,10 +245,16 @@ class TestSynthRir:
         {"rt60": 0.5, "length": math.nan}, {"rt60": 0.5, "length": math.inf},
         {"rt60": 0.5, "sample_rate": 0}, {"rt60": 0.5, "sample_rate": -5},
         {"rt60": 0.05, "sample_rate": 1},  # 0.35 s rounds to no tap at all
+        {"rt60": 0.5, "length": 1e7}, {"rt60": 0.5, "n_early": 10 ** 9},
     ])
     def test_out_of_range_arguments_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             synth_rir(**kwargs)
+
+    def test_largest_length_and_count_accepted(self):
+        h = synth_rir(MAX_SYNTH_RT60, length=MAX_SYNTH_LENGTH, n_early=MAX_SYNTH_N_EARLY,
+                      sample_rate=8000)
+        assert len(h) == round(MAX_SYNTH_LENGTH * 8000)
 
     def test_unset_n_early_is_the_default_count(self):
         default = synth_rir(0.5, seed=4, n_early=DEFAULT_N_EARLY).taps
