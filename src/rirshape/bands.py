@@ -222,6 +222,16 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix,
 
 # --- serialization -----------------------------------------------------------
 
+def _count(raw: str) -> int:  # a layout size: reshape would infer a -1 from the data
+    if int(raw) < 0:
+        raise ValueError(f"{raw} is negative")
+    return int(raw)
+
+
+_CSV_HEADER_KEYS = {"role": str, "band_centers_hz": lambda raw: np.array(raw.split(","), float)}
+_RAW_LAYOUT_KEYS = {"frames": _count, "bands": _count}
+
+
 def write_band_matrix_csv(matrix: BandMatrix, path, sample_rate: int) -> None:
     """CSV with one row per frame, 9 significant digits, band centers in the header.
 
@@ -244,9 +254,10 @@ def read_band_matrix_csv(path) -> tuple[BandMatrix, np.ndarray]:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ParameterError(f"{path}: missing band-matrix header")
-    fields = dict(item.split("=", 1) for item in lines[0][1:].split() if "=" in item)
-    try:
-        centers = np.array([float(c) for c in fields["band_centers_hz"].split(",")])
+    try:  # the header's space-separated pairs, one per line, make a key=value record
+        header = kvtext.parse_kv("\n".join(lines[0][1:].split()))
+        fields = kvtext.convert(header, _CSV_HEADER_KEYS, "header")
+        centers = fields["band_centers_hz"]
         values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         values = values.reshape(len(lines) - 1, centers.size)  # one value per center
     except KeyError:
@@ -274,9 +285,11 @@ def write_band_matrix_raw(matrix: BandMatrix, path, sample_rate: int) -> None:
 
 def read_band_matrix_raw(path) -> tuple[BandMatrix, dict]:
     """Read a matrix written by :func:`write_band_matrix_raw`."""
-    meta = kvtext.load_kv(kvtext.sidecar_path(path))
+    sidecar = kvtext.sidecar_path(path)
+    meta = kvtext.load_kv(sidecar)
+    layout = kvtext.convert(meta, _RAW_LAYOUT_KEYS, sidecar, others=str)
     try:
-        frames, bands = int(meta["frames"]), int(meta["bands"])
+        frames, bands = layout["frames"], layout["bands"]
         values = np.frombuffer(Path(path).read_bytes(), dtype="<f4").reshape(frames, bands)
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"{path}: does not match the frames x bands of its sidecar "

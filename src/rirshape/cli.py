@@ -5,8 +5,8 @@ verify, plot-data. Flag defaults are the standard shaping constants
 (t0 20 ms, t1 30 ms, rd 200 ms, alpha 0.4), so bare invocations
 reproduce the stock configurations. Errors print one machine-parseable
 ``error: ...`` line on stderr and exit nonzero. A ``--config`` file
-(key=value lines, keys named after long flags with dashes as
-underscores) supplies defaults that explicit flags override;
+(key=value lines, one key per optional flag but help and config, dashes
+as underscores) supplies defaults that explicit flags override;
 RIRSHAPE_OUT_DIR sets the fallback output directory.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shaping_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--encoding", default="float32", choices=wavio.ENCODINGS)
-    p.set_defaults(func=cmd_shape)
+    p.set_defaults(func=cmd_shape, parser=p)
 
     p = sub.add_parser("synth-rir", parents=[common],
                        help="synthesize a stochastic impulse response")
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-level", type=float, default=shaping.DEFAULT_TAIL_LEVEL)
     p.add_argument("--out", default=None)
     p.add_argument("--encoding", default="float32", choices=wavio.ENCODINGS)
-    p.set_defaults(func=cmd_synth_rir)
+    p.set_defaults(func=cmd_synth_rir, parser=p)
 
     p = sub.add_parser("analyze-rir", parents=[common],
                        help="measure RT60 and DRR of an impulse response")
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", type=float, default=acoustics.DEFAULT_DRR_BOUNDARY)
     p.add_argument("--edc-csv", default=None,
                    help="also write the energy decay curve as CSV")
-    p.set_defaults(func=cmd_analyze_rir)
+    p.set_defaults(func=cmd_analyze_rir, parser=p)
 
     p = sub.add_parser("verify", parents=[common],
                        help="shape an RIR and check the measured effect "
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rir")
     _add_shaping_flags(p)
     p.add_argument("--csv", default=None, help="append the report to a CSV file")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("gains", parents=[common],
                        help="compute ideal band gains for an input/target pair")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "triangular weights or its rectangularized band ownership")
     p.add_argument("--apply-out", default=None,
                    help="also apply the gains and write the filtered WAV here")
-    p.set_defaults(func=cmd_gains)
+    p.set_defaults(func=cmd_gains, parser=p)
 
     p = sub.add_parser("make-dataset", parents=[common],
                        help="generate training examples from a manifest")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="overrides the manifest's seed=")
-    p.set_defaults(func=cmd_make_dataset)
+    p.set_defaults(func=cmd_make_dataset, parser=p)
 
     p = sub.add_parser("plot-data", parents=[common],
                        help="emit CSV curves of the shaping functions")
@@ -272,48 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--step", type=float, default=0.001)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plot_data)
+    p.set_defaults(func=cmd_plot_data, parser=p)
 
     return parser
 
 
-def _subparser_for(parser: argparse.ArgumentParser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("parser has no subcommands")
-
-
-def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
-    """The --config file's values, converted and checked like ``command``'s flags.
-
-    Every value is checked, even one an explicit flag overrides, so a
-    malformed config file is never half accepted.
-    """
-    record = kvtext.load_kv(path)
-    actions = {a.dest: a for a in command._actions}
-    defaults = {}
-    for key, raw in record.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None:
-            raise ParameterError(f"config key {key!r} matches no flag of this command")
-        if action.type is not None:
-            try:
-                value = action.type(raw)
-            except ValueError as exc:
-                raise ParameterError(f"config key {key!r}: {exc}") from exc
-        elif isinstance(action.default, bool):
-            value = _BOOLEANS.get(raw.lower())
-            if value is None:
-                raise ParameterError(f"config key {key!r}: {raw!r} is not one of "
-                                     "1/0/true/false/yes/no")
-        else:
-            value = raw
-        if action.choices is not None and value not in action.choices:
-            raise ParameterError(f"config key {key!r}: {value!r} is not a valid choice")
-        defaults[dest] = value
-    return defaults
+def _flag_value(action: argparse.Action, raw: str):
+    """A config value converted and checked like the flag ``action``'s own value."""
+    switch = isinstance(action.default, bool)  # it takes a word in a config file
+    value = raw.lower() if switch else action.type(raw) if action.type else raw
+    choices = _BOOLEANS if switch else action.choices
+    if choices is not None and value not in choices:
+        raise ValueError(f"{raw!r} is not one of {'/'.join(map(str, choices))}")
+    return _BOOLEANS[value] if switch else value
 
 
 def main(argv=None) -> int:
@@ -321,9 +293,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # the config values become the flags' defaults, so any flag given wins
-            command = _subparser_for(parser, args.command)
-            command.set_defaults(**_config_defaults(command, args.config))
+            # the keys are the optional flags but --help and --config; every value
+            # becomes its flag's default, so any flag given wins, yet all are checked
+            parsers = {a.dest: functools.partial(_flag_value, a) for a in args.parser._actions
+                       if a.option_strings and a.dest not in ("help", "config")}
+            args.parser.set_defaults(
+                **kvtext.convert(kvtext.load_kv(args.config), parsers, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except (RirshapeError, OSError) as exc:

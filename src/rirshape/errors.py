@@ -41,5 +41,5 @@ class ManifestError(RirshapeError, ValueError):
     """A dataset manifest is malformed or self-contradictory."""
 
 
-class KvFormatError(RirshapeError, ValueError):
-    """A key=value text holds a line that is neither a pair nor a header."""
+class KvFormatError(ParameterError):
+    """A key=value text or record is malformed, or a value fails its key's parser."""

@@ -1,12 +1,13 @@
-"""Line-oriented key=value records.
+"""Line-oriented key=value records, and the one rule that types their values.
 
 One record is a block of ``key=value`` lines. Blank lines and lines
-starting with ``#`` are ignored. A ``[name]`` line starts a new named
-record, so one text can hold several; the lines before the first header
-form an unnamed record. Manifests use sections; RIR metadata sidecars,
-verification reports, dataset metadata and summary files and the CLI
-config file are a single record without headers. CSV records, written by
-``csv_text``, render their values the same way.
+starting with ``#`` are ignored; a key given twice in one block is an
+error. A ``[name]`` line starts a new named record, so one text can hold
+several; the lines before the first header form an unnamed record.
+Manifests use sections; RIR metadata sidecars, verification reports,
+dataset metadata and summary files and the CLI config file are a single
+record without headers. Every reader types its values with ``convert``.
+CSV records, written by ``csv_text``, render their values the same way.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def parse_sections(text: str) -> list[tuple[str | None, dict[str, str]]]:
     """
     current: dict[str, str] = {}
     sections: list[tuple[str | None, dict[str, str]]] = [(None, current)]
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,10 +81,12 @@ def parse_sections(text: str) -> list[tuple[str | None, dict[str, str]]]:
             current = {}
             sections.append((line[1:-1].strip(), current))
         elif "=" in line:
-            key, _, value = line.partition("=")
-            current[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in current:
+                raise KvFormatError(f"line {number}: key {key!r} repeated in one block")
+            current[key] = value
         else:
-            raise KvFormatError(f"not a key=value line: {line!r}")
+            raise KvFormatError(f"line {number}: not a key=value line: {line!r}")
     return sections
 
 
@@ -93,6 +96,24 @@ def parse_kv(text: str) -> dict[str, str]:
     if named:
         raise KvFormatError(f"unexpected section header [{named[0][0]}]")
     return record
+
+
+def convert(record: dict[str, str], parsers: dict, where: str, others=None) -> dict:
+    """Each value of ``record``, in order, converted by its key's parser or else ``others``.
+
+    A key with neither, or a value its parser refuses with ValueError, is a
+    KvFormatError naming ``where`` and the key.
+    """
+    values = {}
+    for key, raw in record.items():
+        parser = parsers.get(key, others)
+        if parser is None:
+            raise KvFormatError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = parser(raw)
+        except ValueError as exc:
+            raise KvFormatError(f"{where}: bad value for {key!r}: {exc}") from None
+    return values
 
 
 def read_text(path) -> str:
@@ -109,7 +130,11 @@ def sidecar_path(path) -> str:  # the record that describes the file at ``path``
 
 
 def load_kv(path) -> dict[str, str]:
-    return parse_kv(read_text(path))
+    text = read_text(path)
+    try:
+        return parse_kv(text)
+    except KvFormatError as exc:  # name the file, as read_text does
+        raise KvFormatError(f"{path}: {exc}") from None
 
 
 def save_kv(record: dict, path) -> None:

@@ -266,47 +266,32 @@ ENTRY_KEYS = {"speech": str, "noise": str, "rir": str, "rir_rt60": float,
               "seed": int, "id": str}
 
 
-def _parse_values(record: dict, keys: dict, where: str) -> dict:
-    """Each value of ``record`` parsed by its key's parser; an unknown key is an error."""
-    values = {}
-    for key, raw in record.items():
-        if key not in keys:
-            raise ManifestError(f"{where}: unknown key {key!r}")
-        try:
-            values[key] = keys[key](raw)
-        except ValueError as exc:
-            raise ManifestError(f"{where}: bad {key}= value: {exc}") from None
-    return values
-
-
 def parse_manifest(text: str) -> DatasetManifest:
+    """A manifest from its text; a second ``[global]`` block is an error."""
+    globals_ = None
+    entries: list[ManifestEntry] = []
     try:
         (_, loose), *sections = kvtext.parse_sections(text)
+        kvtext.convert(loose, {}, "before any section")  # no key belongs there
+        for name, record in sections:
+            name = name.lower()
+            if name == "global":
+                if globals_ is not None:
+                    raise ManifestError("[global] given twice")
+                globals_ = kvtext.convert(record, GLOBAL_KEYS, "global")
+            elif name == "entry":
+                where = f"entry {len(entries)}"
+                values = kvtext.convert(record, ENTRY_KEYS, where)
+                if "speech" not in values:
+                    raise ManifestError(f"{where}: missing speech=")
+                entries.append(ManifestEntry(**values))
+            else:
+                raise ManifestError(f"unknown manifest section [{name}]")
     except KvFormatError as exc:
         raise ManifestError(str(exc)) from exc
-    if loose:
-        raise ManifestError(f"key {next(iter(loose))!r} outside any section")
-
-    globals_ = {}
-    entries: list[ManifestEntry] = []
-    for name, record in sections:
-        name = name.lower()
-        if name == "global":
-            globals_.update(_parse_values(record, GLOBAL_KEYS, "global"))
-        elif name == "entry":
-            entries.append(_parse_entry(record, f"entry {len(entries)}"))
-        else:
-            raise ManifestError(f"unknown manifest section [{name}]")
-    manifest = DatasetManifest(entries, **globals_)
+    manifest = DatasetManifest(entries, **(globals_ or {}))
     manifest.validate()
     return manifest
-
-
-def _parse_entry(record: dict, where: str) -> ManifestEntry:
-    values = _parse_values(record, ENTRY_KEYS, where)
-    if "speech" not in values:
-        raise ManifestError(f"{where}: missing speech=")
-    return ManifestEntry(**values)
 
 
 def format_manifest(manifest: DatasetManifest) -> str:

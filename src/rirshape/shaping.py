@@ -311,17 +311,12 @@ def read_rir(path) -> Rir:
         record = kvtext.load_kv(sidecar)
     except FileNotFoundError:
         record = {}
-    ints = {}
-    for key, raw in record.items():
-        if key in ("direct_index", "sample_rate"):
-            try:
-                ints[key] = int(raw)
-            except ValueError:
-                raise ParameterError(f"{sidecar}: {key}={raw!r} is not an integer") from None
-    if ints.get("sample_rate", signal.sample_rate) != signal.sample_rate:
-        raise ParameterError(f"{sidecar}: sample_rate={ints['sample_rate']} disagrees with "
+    values = kvtext.convert(record, {"direct_index": int, "sample_rate": int}, sidecar,
+                            others=str)
+    if values.get("sample_rate", signal.sample_rate) != signal.sample_rate:
+        raise ParameterError(f"{sidecar}: sample_rate={values['sample_rate']} disagrees with "
                              f"the WAV header's {signal.sample_rate} Hz")
-    direct_index = ints.get("direct_index")
+    direct_index = values.get("direct_index")
     if direct_index is None:
         direct_index = int(np.argmax(np.abs(signal.samples)))
     return Rir(signal.samples, signal.sample_rate, direct_index)

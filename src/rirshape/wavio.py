@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .dsp import Signal
-from .errors import WavFormatError
+from .errors import ParameterError, WavFormatError
 
 _FORMAT_PCM = 0x0001
 _FORMAT_FLOAT = 0x0003
@@ -88,10 +88,15 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
     """Write a signal as a mono WAV file.
 
     ``encoding`` is one of ``float32`` (default), ``pcm16`` or ``pcm24``.
-    Integer encodings round to nearest and clip at full scale.
+    Integer encodings round to nearest and clip at full scale; float32
+    raises ParameterError for a sample beyond its range, before any write.
     """
     if encoding == "float32":
-        payload = signal.samples.astype("<f4")
+        try:
+            with np.errstate(over="raise"):
+                payload = signal.samples.astype("<f4")
+        except FloatingPointError:  # the file would hold inf, which no reader takes back
+            raise ParameterError(f"{path}: a sample lies beyond float32's range") from None
         audio_format, bits = _FORMAT_FLOAT, 32
     elif encoding == "pcm16":
         raw = np.clip(np.round(signal.samples * 32768.0), -32768, 32767)

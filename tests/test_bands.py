@@ -346,7 +346,24 @@ class TestSerialization:
         "ragged.csv": "# role=gain band_centers_hz=100,200\n0.1,0.2\n0.3\n",
         "short_rows.csv": "# role=gain band_centers_hz=100,200,300\n0.1,0.2\n",
         "not_a_number.csv": "# role=gain band_centers_hz=100,200\n0.1,abc\n",
+        "repeated_key.csv": "# role=gain band_centers_hz=100,200 role=energy\n0.1,0.2\n",
     }
+
+    @pytest.mark.parametrize("key, value", [("frames", 3), ("bands", 4)])
+    def test_raw_sidecar_layout_of_minus_one_rejected(self, tmp_path, key, value):
+        # numpy would infer a -1 dimension from the data and skip the layout check
+        path = tmp_path / "g.f32"
+        write_band_matrix_raw(BandMatrix(np.ones((3, 4)), "gain"), path, FS)
+        meta = tmp_path / "g.f32.meta.txt"
+        meta.write_text(meta.read_text().replace(f"{key}={value}\n", f"{key}=-1\n"))
+        with pytest.raises(ParameterError, match=f"g.f32.meta.txt.*'{key}'"):
+            read_band_matrix_raw(path)
+
+    def test_raw_round_trip_of_no_frames(self, tmp_path):
+        path = tmp_path / "g.f32"
+        write_band_matrix_raw(BandMatrix(np.zeros((0, 32)), "gain"), path, FS)
+        back, meta = read_band_matrix_raw(path)
+        assert back.values.shape == (0, 32) and meta["frames"] == "0"
 
     @pytest.mark.parametrize("name", [*MALFORMED_CSV, "short.f32", "long.f32",
                                       "bad_meta.f32"])

@@ -331,6 +331,34 @@ class TestConfigAndEnv:
                            "--config", config, "--out", tmp_path / "x.wav")
         assert code != 0 and "error:" in err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["shape", "{rir}", "--strategy", "none", "--out", "{out}"], "rir"),
+        (["analyze-rir", "{rir}", "--edc-csv", "{out}"], "rir"),
+        (["make-dataset", "{rir}", "--out-dir", "{out}"], "manifest"),
+        (["synth-rir", "--rt60", "0.3", "--out", "{out}"], "help"),
+        (["synth-rir", "--rt60", "0.3", "--out", "{out}"], "config"),
+    ])
+    def test_config_key_that_is_no_optional_flag_rejected(self, tmp_path, rir_file, capsys,
+                                                          argv, key):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key}={tmp_path / 'nothere.wav'}\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *(a.format(rir=rir_file, out=out) for a in argv),
+                                "--config", config)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{key}'" in err and str(config) in err
+        assert not out.exists()
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("rt60=0.3\nrt60=0.9\n")
+        code, _, err = run(capsys, "synth-rir", "--config", config,
+                           "--out", tmp_path / "x.wav")
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'rt60' repeated" in err and str(config) in err
+
     @pytest.mark.parametrize("line", ["garbage line", "rt60=abc", "n_early=1.5"])
     def test_malformed_config_prints_one_error_line(self, tmp_path, capsys, line):
         config = tmp_path / "cfg.txt"
@@ -400,10 +428,17 @@ class TestMalformedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not any(out_dir.iterdir())
 
+    @staticmethod
+    def set_sidecar_key(sidecar, key, value):
+        """Give the sidecar's ``key=`` line a new value (a repeated key is its own error)."""
+        record = load_kv(sidecar)
+        assert key in record
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k}={value if k == key else v}\n" for k, v in record.items())
+
     def test_bad_direct_index_in_sidecar_is_one_error_line(self, rir_file, capsys):
         sidecar = f"{rir_file}.meta.txt"
-        with open(sidecar, "a", encoding="utf-8") as fh:
-            fh.write("direct_index=abc\n")
+        self.set_sidecar_key(sidecar, "direct_index", "abc")
         code, out, err = run(capsys, "analyze-rir", rir_file)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -411,8 +446,7 @@ class TestMalformedInputs:
 
     def test_sidecar_sample_rate_unlike_the_wav_is_one_error_line(self, rir_file, capsys):
         sidecar = f"{rir_file}.meta.txt"
-        with open(sidecar, "a", encoding="utf-8") as fh:
-            fh.write("sample_rate=16000\n")
+        self.set_sidecar_key(sidecar, "sample_rate", 16000)
         code, out, err = run(capsys, "analyze-rir", rir_file)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

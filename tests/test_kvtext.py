@@ -7,8 +7,9 @@ from hypothesis import example, given, strategies as st
 
 from rirshape import synth_rir, write_rir
 from rirshape.cli import main
-from rirshape.errors import KvFormatError, RirshapeError
-from rirshape.kvtext import csv_text, dump_kv, kv_str, load_kv, parse_kv, parse_sections
+from rirshape.errors import KvFormatError, ParameterError, RirshapeError
+from rirshape.kvtext import (convert, csv_text, dump_kv, kv_str, load_kv, parse_kv,
+                             parse_sections)
 
 
 class TestParseSections:
@@ -30,6 +31,38 @@ class TestParseSections:
     def test_non_pair_line_rejected(self):
         with pytest.raises(KvFormatError, match="just words"):
             parse_sections("[s]\njust words\n")
+
+    @pytest.mark.parametrize("text", ["k=1\nk=2\n", "[s]\nk=1\n# c\n k = 2\n",
+                                      "[s]\nk=1\nk=1\n"])
+    def test_key_repeated_in_one_block_rejected(self, text):
+        with pytest.raises(KvFormatError, match="'k' repeated"):
+            parse_sections(text)
+
+    def test_same_key_in_two_blocks_allowed(self):
+        assert parse_sections("k=0\n[s]\nk=1\n[s]\nk=2\n") == [
+            (None, {"k": "0"}), ("s", {"k": "1"}), ("s", {"k": "2"})]
+
+
+class TestConvert:
+    def test_values_converted_in_record_order(self):
+        values = convert({"b": "2", "a": "x"}, {"a": str.upper, "b": int}, "here")
+        assert list(values.items()) == [("b", 2), ("a", "X")]
+
+    def test_key_without_parser_names_where_and_key(self):
+        with pytest.raises(KvFormatError, match="here: unknown key 'c'"):
+            convert({"a": "1", "c": "2"}, {"a": int}, "here")
+
+    def test_refused_value_names_where_and_key(self):
+        with pytest.raises(KvFormatError, match="here: bad value for 'a': .*'x'"):
+            convert({"a": "x"}, {"a": int}, "here")
+
+    def test_others_parses_keys_without_parser(self):
+        assert convert({"a": "1", "c": "2"}, {"a": int}, "here", others=str) == {
+            "a": 1, "c": "2"}
+
+    def test_errors_are_parameter_errors(self):
+        with pytest.raises(ParameterError):
+            convert({"a": "x"}, {}, "here")
 
 
 class TestParseKv:
@@ -66,6 +99,13 @@ class TestDumpKv:
 
 
 class TestLoadKv:
+    @pytest.mark.parametrize("text", ["k=1\nk=2\n", "words\n", "[s]\n"])
+    def test_malformed_record_names_the_path(self, tmp_path, text):
+        path = tmp_path / "sidecar.meta.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(KvFormatError, match="sidecar.meta.txt"):
+            load_kv(path)
+
     def test_non_utf8_bytes_name_the_path(self, tmp_path):
         path = tmp_path / "sidecar.meta.txt"
         path.write_bytes(b"direct_index=\xff\n")

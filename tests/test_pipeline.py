@@ -317,6 +317,20 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"{where}.*'{key}'"):
             parse_manifest(text)
 
+    @pytest.mark.parametrize("text, key", [
+        ("[entry]\nspeech=s.wav\nrir=r.wav\nsnr=5\nsnr=40\n", "snr"),
+        ("[global]\nseed=1\nsnr_min=0\nseed=2\n", "seed"),
+    ])
+    def test_key_repeated_in_a_block_rejected(self, text, key):
+        with pytest.raises(ManifestError, match=f"'{key}' repeated"):
+            parse_manifest(text)
+
+    @pytest.mark.parametrize("second", ["[global]", "[GLOBAL]"])
+    def test_second_global_block_rejected(self, second):
+        text = f"[global]\nseed=1\n[entry]\nspeech=s.wav\nrir=r.wav\n{second}\nseed=2\n"
+        with pytest.raises(ManifestError, match=r"\[global\] given twice"):
+            parse_manifest(text)
+
     def test_non_utf8_manifest_names_its_path(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes(b"[entry]\nspeech=\xff.wav\nrir=r.wav\n")
@@ -521,6 +535,17 @@ print(summary.n_ok, start - resident(), *drops)
         summary = build_dataset(manifest, corpus / "out")
         assert [r.ok for r in summary.results] == [False, False, True]
         assert all(f.reason.startswith("ParameterError: snr_db") for f in summary.failures())
+
+    def test_input_beyond_float32_fails_its_entry_alone(self, corpus):
+        manifest = small_manifest(corpus)
+        manifest.snr_min = -5000.0
+        for entry, snr in zip(manifest.entries, (-2000.0, 10.0, 20.0)):
+            entry.snr = snr
+        summary = build_dataset(manifest, corpus / "out")
+        assert [r.ok for r in summary.results] == [False, True, True]
+        assert summary.failures()[0].reason.startswith("ParameterError: ")
+        assert "float32" in summary.failures()[0].reason
+        assert not list((corpus / "out").glob("ex00000.*"))
 
     def test_no_more_workers_than_entries(self, corpus, monkeypatch):
         started = []

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from rirshape import Signal, WavFormatError, read_wav, write_wav
+from rirshape import ParameterError, Signal, WavFormatError, read_wav, write_wav
 
 FS = 48000
 
@@ -72,6 +72,19 @@ def test_pcm_write_clips_overrange(tmp_path):
     back = read_wav(path)
     assert back.samples.max() == pytest.approx(32767 / 32768)
     assert back.samples.min() == -1.0
+
+
+def test_float32_overflow_rejected_before_the_file_opens(tmp_path):
+    path = tmp_path / "loud.wav"
+    with pytest.raises(ParameterError, match="float32"):
+        write_wav(Signal(np.array([0.0, 8.4e99, -1e39]), 48000), path)
+    assert not path.exists()
+
+
+def test_largest_float32_sample_written(tmp_path):
+    peak = float(np.finfo(np.float32).max)
+    write_wav(Signal(np.array([peak, -peak]), 48000), tmp_path / "a.wav")
+    assert np.array_equal(read_wav(tmp_path / "a.wav").samples, [peak, -peak])
 
 
 def test_unknown_chunks_skipped(tmp_path):
