@@ -354,7 +354,9 @@ class DatasetSummary:
             rt60 = result.record.get(SUMMARY_COLUMNS["rt60_estimate"])
             if rt60 is None:
                 continue
-            lo = math.floor(rt60 / RT60_BIN_WIDTH) * RT60_BIN_WIDTH
+            # 0.6 / 0.2 is 2.9999999999999996: round off the quotient's float
+            # error, so an estimate on an edge counts in the bucket it starts
+            lo = math.floor(round(rt60 / RT60_BIN_WIDTH, 9)) * RT60_BIN_WIDTH
             label = f"{lo:.1f}-{lo + RT60_BIN_WIDTH:.1f}"
             histogram[label] = histogram.get(label, 0) + 1
         return dict(sorted(histogram.items()))

@@ -39,6 +39,7 @@ MIN_SYNTH_RT60 = 0.05
 MAX_SYNTH_RT60 = 3.0
 MAX_SYNTH_LENGTH = 10.0  # s; the longest room's tail is ~200 dB down by then
 MAX_SYNTH_N_EARLY = 1000  # more than the early window's taps at 48 kHz
+MAX_SYNTH_SAMPLE_RATE = 384_000  # Hz; a 10 s room is then 31 MB per float64 array
 DEFAULT_N_EARLY = 6
 DEFAULT_TAIL_LEVEL = 0.05
 SYNTH_EARLY_WINDOW = (0.002, DEFAULT_T0)  # s after the direct tap, early reflections
@@ -238,8 +239,9 @@ def synth_rir(rt60: float, *, length: float | None = None, n_early: int | None =
     check_synth_args(rt60, length, n_early, tail_level)
     if length is None:
         length = max(1.5 * rt60, rt60 + 0.3)
-    if not sample_rate > 0:
-        raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
+    if not 0 < sample_rate <= MAX_SYNTH_SAMPLE_RATE:
+        raise ParameterError(
+            f"sample_rate must lie in (0, {MAX_SYNTH_SAMPLE_RATE}] Hz, got {sample_rate}")
 
     n = int(round(length * sample_rate))
     if n <= round(SYNTH_EARLY_WINDOW[1] * sample_rate):

@@ -90,6 +90,7 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
     ``encoding`` is one of ``float32`` (default), ``pcm16`` or ``pcm24``.
     Integer encodings round to nearest and clip at full scale; float32
     raises ParameterError for a sample beyond its range, before any write.
+    So does a sample rate whose byte rate the header's 32-bit field cannot hold.
     """
     if encoding == "float32":
         try:
@@ -114,6 +115,9 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
         raise WavFormatError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
     bytes_per_sample = bits // 8
+    if signal.sample_rate * bytes_per_sample > 0xFFFFFFFF:
+        raise ParameterError(f"{path}: {signal.sample_rate} Hz {encoding} is beyond the "
+                             "WAV header's 32-bit byte rate")
     fmt_body = struct.pack(
         "<HHIIHH", audio_format, 1, signal.sample_rate,
         signal.sample_rate * bytes_per_sample, bytes_per_sample, bits)

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import platform
 import subprocess
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import rirshape
-from rirshape import Signal
+from rirshape import Rir, Signal
 
 FS = 48000
 GLIBC = platform.libc_ver()[0] == "glibc"
+HAS_MALLINFO2 = GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")
 
 
 def speech_like(duration=0.4, seed=0, sample_rate=FS):
@@ -46,12 +48,43 @@ def noise():
     return noise_like()
 
 
+def envelope_rir(rt60, length=None, sample_rate=FS):
+    """Deterministic exponential-envelope response (no noise, no reflections)."""
+    if length is None:
+        length = max(1.5 * rt60, rt60 + 0.3)
+    t = np.arange(int(length * sample_rate)) / sample_rate
+    return Rir(10.0 ** (-3.0 * t / rt60), sample_rate, 0)
+
+
+def fresh_env() -> dict[str, str]:
+    """This process's environment with this rirshape's source first on PYTHONPATH."""
+    src = str(Path(rirshape.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_fresh(script: str) -> str:
     """Run ``script`` in a new interpreter that imports this rirshape; return stdout."""
-    src = str(Path(rirshape.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True,
                           text=True, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+# preludes of fresh-process scripts: ``libc.mallinfo2()``, glibc's heap
+# statistics, and ``resident()``, the process's resident bytes
+MALLINFO2 = """
+import ctypes
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes = ()
+libc.mallinfo2.restype = Mallinfo2
+"""
+RESIDENT = """
+def resident():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+"""

@@ -18,7 +18,7 @@ from rirshape import (Rir, ShapingParams, Signal, Strategy, UndefinedDecayError,
                       synthesize, write_rir, write_wav)
 from rirshape.bands import apply_gains
 from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset
-from conftest import noise_like, speech_like
+from conftest import envelope_rir, noise_like, speech_like
 
 FS = 48000
 R0_GRID = (0.3, 0.6, 1.0, 1.5)
@@ -27,12 +27,6 @@ N_SEEDS = 5
 
 def report(line):
     print(f"ACCEPTANCE {line}")
-
-
-def envelope_rir(rt60):
-    length = max(1.5 * rt60, rt60 + 0.3)
-    t = np.arange(int(length * FS)) / FS
-    return Rir(10.0 ** (-3.0 * t / rt60), FS, 0)
 
 
 def test_criterion_1_room_shrinking_law():

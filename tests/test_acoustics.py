@@ -7,16 +7,9 @@ from rirshape import (DegenerateEnergyError, Rir, ShapingParams, Strategy,
                       UndefinedDecayError, dirac_rir, drr, energy_decay_curve,
                       estimate_rt60, shape_rir, synth_rir, verify_shaping)
 from rirshape.errors import ParameterError
+from conftest import envelope_rir
 
 FS = 48000
-
-
-def envelope_rir(rt60, length=None, sample_rate=FS):
-    """Deterministic exponential-envelope response (no noise, no reflections)."""
-    if length is None:
-        length = max(1.5 * rt60, rt60 + 0.3)
-    t = np.arange(int(length * sample_rate)) / sample_rate
-    return Rir(10.0 ** (-3.0 * t / rt60), sample_rate, 0)
 
 
 class TestEnergyDecayCurve:

@@ -290,6 +290,7 @@ class TestMakeDatasetCommand:
 
 class TestConfigAndEnv:
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch, capsys):
+        assert cli.ENV_OUT_DIR == "RIRSHAPE_OUT_DIR"
         monkeypatch.setenv("RIRSHAPE_OUT_DIR", str(tmp_path))
         code, out, _ = run(capsys, "synth-rir", "--rt60", "0.3", "--seed", "1")
         assert code == 0
@@ -413,6 +414,7 @@ class TestMalformedInputs:
         (["plot-data", "shaped-tail", "--duration", "1e9"], "1e+12 rows"),
         (["synth-rir", "--rt60", "0.5", "--length", "1e7"], "length"),
         (["synth-rir", "--rt60", "0.5", "--n-early", "1000000000"], "n_early"),
+        (["synth-rir", "--rt60", "0.5", "--sample-rate", "384001"], "sample_rate"),
     ])
     def test_non_finite_or_nonpositive_flag_is_one_error_line(self, tmp_path, rir_file,
                                                                monkeypatch, capsys,

@@ -1,4 +1,3 @@
-import ctypes
 import multiprocessing
 import os
 import threading
@@ -20,7 +19,7 @@ from rirshape import dsp
 from rirshape.dsp import (FRAMES_PER_CALL, SPLIT_FROM_POINTS, FrameSpectra,
                           fit_noise_length, frame_lengths)
 from rirshape.shaping import Rir
-from conftest import GLIBC, run_fresh
+from conftest import GLIBC, HAS_MALLINFO2, MALLINFO2, RESIDENT, run_fresh
 
 FS = 48000
 
@@ -480,22 +479,6 @@ class TestSignal:
         assert Signal(np.zeros(FS) + 0.1, FS).duration == pytest.approx(1.0)
 
 
-HAS_MALLINFO2 = GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")
-
-
-# a fresh script's prelude: ``libc.mallinfo2()``, glibc's heap statistics
-MALLINFO2 = """
-import ctypes
-class Mallinfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
-        "uordblks", "fordblks", "keepcost")]
-libc = ctypes.CDLL(None)
-libc.mallinfo2.argtypes = ()
-libc.mallinfo2.restype = Mallinfo2
-"""
-
-
 @pytest.mark.skipif(not GLIBC, reason="the allocator setting applies to glibc only")
 class TestFreedMemoryStaysInProcess:
     @staticmethod
@@ -640,14 +623,11 @@ print(pooled.n_ok, len(digests(root / "w2")), digests(root / "w2") == digests(ro
 def test_bare_fork_child_starts_without_the_parents_free_heap():
     # not only build_dataset's pool: any fork of a process that imported
     # rirshape hands the free heap back to the kernel first
-    out = run_fresh(MALLINFO2 + """
+    out = run_fresh(MALLINFO2 + RESIDENT + """
 import os
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, synth_rir
 from rirshape.pipeline import generate_example
-def resident():
-    with open("/proc/self/status", encoding="ascii") as fh:
-        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
 rng = np.random.default_rng(0)
 generate_example(Signal(0.1 * rng.standard_normal(10 * 48000), 48000),
                  Signal(0.05 * rng.standard_normal(4 * 48000), 48000), synth_rir(1.0, seed=1),
@@ -678,14 +658,11 @@ def test_pool_workers_start_without_the_parents_free_heap(tmp_path):
     # heap; build_dataset hands them back before it forks, so no worker holds
     # them. A worker's resident size shows it; its mallinfo2 free count does
     # not, since released pages inside the heap still count as free there.
-    out = run_fresh(MALLINFO2 + f"""
+    out = run_fresh(MALLINFO2 + RESIDENT + f"""
 import os, pathlib
 import numpy as np
 from rirshape import ShapingParams, Signal, Strategy, pipeline, synth_rir, write_wav
 from rirshape.pipeline import DatasetManifest, ManifestEntry, build_dataset, generate_example
-def resident():
-    with open("/proc/self/status", encoding="ascii") as fh:
-        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
 root = pathlib.Path({str(tmp_path)!r})
 rng = np.random.default_rng(0)
 generate_example(Signal(0.1 * rng.standard_normal(10 * 48000), 48000),

@@ -18,9 +18,9 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
 from rirshape import dsp, pipeline
 from rirshape.bands import BandMatrix
 from rirshape.kvtext import dump_kv, load_kv, parse_kv
-from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, ManifestEntry,
-                               format_manifest, load_manifest)
-from conftest import GLIBC, noise_like, run_fresh, speech_like
+from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, DatasetSummary,
+                               EntryResult, ManifestEntry, format_manifest, load_manifest)
+from conftest import GLIBC, RESIDENT, noise_like, run_fresh, speech_like
 
 FS = 48000
 
@@ -476,18 +476,6 @@ class TestBuildDataset:
         assert failure.entry_id == "ex00001"
         assert "missing.wav" in failure.reason
 
-    def test_byte_identical_across_runs_and_workers(self, corpus):
-        manifest = small_manifest(corpus)
-
-        def snapshot(out, workers):
-            build_dataset(manifest, out, workers=workers)
-            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-        first = snapshot(corpus / "a", 1)
-        second = snapshot(corpus / "b", 1)
-        parallel = snapshot(corpus / "c", 4)
-        assert first == second == parallel
-
     @pytest.mark.skipif(not GLIBC or not Path("/proc/self/status").exists()
                         or multiprocessing.get_start_method() != "fork",
                         reason="needs glibc, /proc/self/status and pools that fork")
@@ -497,13 +485,10 @@ class TestBuildDataset:
         # resident; the trim that rirshape.dsp runs at every fork hands them
         # back, and a workers=1 build, which forks nothing, keeps them
         (corpus / "m.txt").write_text(format_manifest(small_manifest(corpus)), encoding="utf-8")
-        out = run_fresh(f"""
+        out = run_fresh(RESIDENT + f"""
 import os
 import numpy as np
 from rirshape.pipeline import build_dataset, load_manifest
-def resident():
-    with open("/proc/self/status", encoding="ascii") as fh:
-        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
 fork, drops = os.fork, []
 def measured_fork():
     np.ones(3 << 20)
@@ -567,6 +552,11 @@ print(summary.n_ok, start - resident(), *drops)
         assert sum(histogram.values()) == 3
         assert "rt60_hist" in summary.to_kv()
         assert summary.to_csv().count("\n") == 4  # header + 3 rows
+
+    def test_rt60_on_a_bucket_edge_counts_in_the_bucket_it_starts(self):
+        summary = DatasetSummary([EntryResult(f"e{i}", True, record={"rt60_input_estimate": rt60})
+                                  for i, rt60 in enumerate((0.6, 1.2, 1.4))])
+        assert summary.rt60_histogram() == {"0.6-0.8": 1, "1.2-1.4": 1, "1.4-1.6": 1}
 
     def test_summary_csv_keeps_commas_in_reasons(self, corpus):
         manifest = small_manifest(corpus)

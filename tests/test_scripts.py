@@ -1,21 +1,17 @@
 """The example scripts under ``scripts/`` run end to end on tiny arguments."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import rirshape
 from rirshape.kvtext import load_kv
+from conftest import fresh_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
-    src = str(Path(rirshape.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=fresh_env(),
                           capture_output=True, text=True, timeout=300, check=False)
 
 

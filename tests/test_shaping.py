@@ -246,6 +246,7 @@ class TestSynthRir:
         {"rt60": 0.5, "sample_rate": 0}, {"rt60": 0.5, "sample_rate": -5},
         {"rt60": 0.05, "sample_rate": 1},  # 0.35 s rounds to no tap at all
         {"rt60": 0.5, "length": 1e7}, {"rt60": 0.5, "n_early": 10 ** 9},
+        {"rt60": 0.5, "sample_rate": 384_001},
     ])
     def test_out_of_range_arguments_rejected(self, kwargs):
         with pytest.raises(ParameterError):

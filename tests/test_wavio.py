@@ -148,6 +148,13 @@ def test_rejects_unknown_encoding(tmp_path):
         write_wav(Signal(np.array([0.1]), FS), tmp_path / "x.wav", encoding="pcm32")
 
 
+def test_sample_rate_beyond_the_header_rejected_before_any_write(tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ParameterError, match="byte rate"):
+        write_wav(Signal(np.array([0.1]), 1 << 31), path)
+    assert not path.exists()
+
+
 def test_sample_rate_preserved(tmp_path):
     path = tmp_path / "sr.wav"
     write_wav(Signal(np.array([0.1, 0.2]), 48000), path)
