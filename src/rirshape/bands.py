@@ -250,8 +250,7 @@ def write_band_matrix_csv(matrix: BandMatrix, path, sample_rate: int) -> None:
 
 def read_band_matrix_csv(path) -> tuple[BandMatrix, np.ndarray]:
     """Read a matrix written by :func:`write_band_matrix_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for line in kvtext.read_text(path).splitlines() if line.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ParameterError(f"{path}: missing band-matrix header")
     try:  # the header's space-separated pairs, one per line, make a key=value record

@@ -113,7 +113,8 @@ class Signal:
     """A finite mono waveform, full-scale amplitude +-1.0.
 
     Samples are stored as float64. Construction rejects empty, NaN or
-    Inf data and sample rates that are not positive.
+    Inf data and sample rates that are not positive integers (a Python
+    or numpy integer, not a bool).
     """
 
     samples: np.ndarray
@@ -122,8 +123,9 @@ class Signal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if not self.sample_rate > 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ParameterError(f"sample_rate must be a positive integer, got {rate}")
         if samples.ndim != 1 or samples.size < 1:
             raise ParameterError("signal must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):

@@ -78,6 +78,8 @@ class ManifestEntry:
             raise ManifestError(str(exc)) from None
         if self.id is not None:
             _check_entry_id(self.id)
+        if self.seed is not None and self.seed < 0:  # numpy seeds no generator from it
+            raise ManifestError(f"seed must be non-negative, got {self.seed}")
         stray = [key for key in ("rir_n_early", "rir_length") if getattr(self, key) is not None]
         if stray and self.rir_rt60 is None:
             raise ManifestError(f"keys {stray} apply only beside rir_rt60=")

@@ -69,7 +69,10 @@ def read_wav(path) -> Signal:
         samples = (words.view("<i4")[:, 0] >> 8) / 8388608.0
     else:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return Signal(samples, sample_rate)
+    try:
+        return Signal(samples, sample_rate)
+    except ParameterError as exc:  # a zero rate, no samples, or a NaN or Inf sample
+        raise WavFormatError(f"{path}: {exc}") from None
 
 
 def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:

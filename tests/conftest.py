@@ -72,7 +72,9 @@ def run_fresh(script: str) -> str:
 
 
 # preludes of fresh-process scripts: ``libc.mallinfo2()``, glibc's heap
-# statistics, and ``resident()``, the process's resident bytes
+# statistics; ``resident()``, the process's resident bytes; and the inputs
+# of a 10 s example (``speech``, ``noise``, ``h0``, ``params``), with ``dsp``
+# set to two transform threads whatever the host's cores
 MALLINFO2 = """
 import ctypes
 class Mallinfo2(ctypes.Structure):
@@ -87,4 +89,15 @@ RESIDENT = """
 def resident():
     with open("/proc/self/status", encoding="ascii") as fh:
         return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+"""
+EXAMPLE_10S = """
+import numpy as np
+from rirshape import ShapingParams, Signal, Strategy, dsp, synth_rir
+from rirshape.pipeline import generate_example
+dsp._usable_cores = lambda: 2
+rng = np.random.default_rng(0)
+speech = Signal(0.1 * rng.standard_normal(10 * 48000), 48000)
+noise = Signal(0.05 * rng.standard_normal(4 * 48000), 48000)
+h0 = synth_rir(1.0, seed=1)
+params = ShapingParams(Strategy.ATTENUATED_DECAYED)
 """

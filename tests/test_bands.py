@@ -114,12 +114,6 @@ class TestBandEnergies:
 
 
 class TestIdealGains:
-    def test_identity_pair_gives_ones(self, fb):
-        spectra = analyze([speech_like(0.2, seed=4)])[0]
-        x = band_energies(spectra, fb)
-        gains = ideal_gains(x, x)
-        assert np.all(gains.values == 1.0)
-
     def test_zero_target_gives_zeros(self, fb):
         spectra = analyze([speech_like(0.2, seed=5)])[0]
         y = band_energies(spectra, fb)
@@ -180,22 +174,6 @@ class TestApplyGains:
         nonzero = np.abs(spectra.frames) > 1e-12
         assert np.allclose(np.angle(out.frames[nonzero]),
                            np.angle(spectra.frames[nonzero]), atol=1e-9)
-
-    def test_rectangular_oracle_identity(self, fb):
-        # gains from ownership-partition energies, applied by ownership,
-        # reproduce the target's ownership-partition energies exactly
-        rect = fb.rectangularized()
-        for seed in range(5):
-            target_spectra = analyze([speech_like(0.2, seed=seed)])[0]
-            noisy = speech_like(0.2, seed=seed).samples \
-                + 0.3 * speech_like(0.2, seed=seed + 100).samples
-            noisy_spectra = analyze([Signal(noisy, FS)])[0]
-            x = band_energies(target_spectra, rect)
-            y = band_energies(noisy_spectra, rect)
-            gains = ideal_gains(x, y, clamp=False)
-            rebuilt = band_energies(apply_gains(noisy_spectra, gains, rect), rect)
-            deviation = np.abs(rebuilt.values - x.values) / np.maximum(x.values, 1e-30)
-            assert deviation.max() < 1e-4
 
     def test_scale_covariance(self, fb):
         target_spectra = analyze([speech_like(0.2, seed=10)])[0]
@@ -342,11 +320,12 @@ class TestSerialization:
         assert int(meta["frames"]) == 5 and int(meta["bands"]) == 32
 
     MALFORMED_CSV = {
-        "no_centers.csv": "# role=gain\n0.5,0.5\n",
-        "ragged.csv": "# role=gain band_centers_hz=100,200\n0.1,0.2\n0.3\n",
-        "short_rows.csv": "# role=gain band_centers_hz=100,200,300\n0.1,0.2\n",
-        "not_a_number.csv": "# role=gain band_centers_hz=100,200\n0.1,abc\n",
-        "repeated_key.csv": "# role=gain band_centers_hz=100,200 role=energy\n0.1,0.2\n",
+        "no_centers.csv": b"# role=gain\n0.5,0.5\n",
+        "ragged.csv": b"# role=gain band_centers_hz=100,200\n0.1,0.2\n0.3\n",
+        "short_rows.csv": b"# role=gain band_centers_hz=100,200,300\n0.1,0.2\n",
+        "not_a_number.csv": b"# role=gain band_centers_hz=100,200\n0.1,abc\n",
+        "repeated_key.csv": b"# role=gain band_centers_hz=100,200 role=energy\n0.1,0.2\n",
+        "not_utf8.csv": b"# role=gain band_centers_hz=100,200\n0.1,\xff\n",
     }
 
     @pytest.mark.parametrize("key, value", [("frames", 3), ("bands", 4)])
@@ -370,7 +349,7 @@ class TestSerialization:
     def test_malformed_file_names_its_path(self, tmp_path, name):
         path = tmp_path / name
         if name in self.MALFORMED_CSV:
-            path.write_text(self.MALFORMED_CSV[name], encoding="utf-8")
+            path.write_bytes(self.MALFORMED_CSV[name])
             read = read_band_matrix_csv
         else:
             write_band_matrix_raw(BandMatrix(np.ones((3, 4)), "gain"), path, FS)

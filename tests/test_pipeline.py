@@ -1,5 +1,6 @@
 import csv
 import multiprocessing
+import shlex
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -15,7 +16,7 @@ from rirshape import (ManifestError, ParameterError, ShapingParams, Signal, Stra
                       estimate_rt60, generate_example, ideal_gains, mix_at_snr, parse_manifest,
                       sample_entry_randomness, shape_rir, synth_rir, verify_shaping,
                       write_rir, write_wav)
-from rirshape import dsp, pipeline
+from rirshape import cli, dsp, pipeline
 from rirshape.bands import BandMatrix
 from rirshape.kvtext import dump_kv, load_kv, parse_kv
 from rirshape.pipeline import (ENTRY_KEYS, GLOBAL_KEYS, DatasetManifest, DatasetSummary,
@@ -141,15 +142,6 @@ class TestGenerateExample:
                             example.gains.values.tobytes(), example.metadata))
         assert results[0] == results[1]
 
-    def test_deterministic_given_seed(self, speech, noise):
-        h0 = synth_rir(0.5, seed=4)
-        params = ShapingParams(Strategy.ATTENUATED_DECAYED)
-        first = generate_example(speech, noise, h0, params, 10.0, seed=77)
-        second = generate_example(speech, noise, h0, params, 10.0, seed=77)
-        assert np.array_equal(first.input.samples, second.input.samples)
-        assert np.array_equal(first.target.samples, second.target.samples)
-        assert np.array_equal(first.gains.values, second.gains.values)
-
     def test_alignment_and_frame_count(self, speech, noise):
         h0 = synth_rir(0.5, seed=5)
         example = generate_example(speech, noise, h0,
@@ -243,21 +235,14 @@ class TestManifest:
         again = parse_manifest(format_manifest(manifest))
         assert again == manifest
 
-    def test_missing_speech_rejected(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("[entry]\nrir=rir.wav\n")
-
-    def test_needs_exactly_one_rir_source(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("[entry]\nspeech=s.wav\n")
-        with pytest.raises(ManifestError):
-            parse_manifest("[entry]\nspeech=s.wav\nrir=r.wav\nrir_rt60=0.5\n")
-
-    def test_snr_outside_range_rejected(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nsnr=99\n")
-
     @pytest.mark.parametrize("text", [
+        "[entry]\nrir=rir.wav\n",  # no speech
+        "[entry]\nspeech=s.wav\n",  # no room
+        "[entry]\nspeech=s.wav\nrir=r.wav\nrir_rt60=0.5\n",  # two rooms
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nsnr=99\n",
+        "[stuff]\nx=1\n",
+        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nstrategy=magic\n",
+        "[entry]\nspeech=s.wav\nrir=r.wav\nseed=-1\n",
         "seed=1\n[entry]\nspeech=s.wav\nrir_rt60=0.5\n",
         "[entry]\nspeech=s.wav\nrir_rt60=0.5\njust words\n",
         "[global]\nseed=abc\n",
@@ -285,6 +270,14 @@ class TestManifest:
         assert manifest.seed == 42
         assert manifest.entries[0].rir == "rooms/hall.wav"
 
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+        assert len(lines) == 7 and all(argv[0] == "rirshape" for argv in lines)
+        for argv in lines:
+            cli.build_parser().parse_args(argv[1:])  # a refused line exits
+
     def test_readme_library_block_runs(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
@@ -296,14 +289,6 @@ class TestManifest:
     def test_section_names_ignore_case(self):
         manifest = parse_manifest("[GLOBAL]\nseed=3\n[Entry]\nspeech=s.wav\nrir=r.wav\n")
         assert manifest.seed == 3 and len(manifest.entries) == 1
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("[stuff]\nx=1\n")
-
-    def test_bad_strategy_rejected(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nstrategy=magic\n")
 
     @pytest.mark.parametrize("text, where, key", [
         ("[entry]\nspeech=s.wav\nrir=r.wav\nstratgy=none\n", "entry 0", "stratgy"),
@@ -540,12 +525,6 @@ print(summary.n_ok, start - resident(), *drops)
         summary = build_dataset(small_manifest(corpus, n_entries=2), corpus / "out", workers=8)
         assert summary.n_ok == 2 and len(started) == 2
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_worker_count_below_one_rejected_before_any_write(self, corpus, workers):
-        with pytest.raises(ParameterError, match="workers must be at least 1"):
-            build_dataset(small_manifest(corpus), corpus / "out", workers=workers)
-        assert not (corpus / "out").exists()
-
     def test_summary_histogram(self, corpus):
         summary = build_dataset(small_manifest(corpus), corpus / "out")
         histogram = summary.rt60_histogram()
@@ -606,21 +585,6 @@ print(summary.n_ok, start - resident(), *drops)
         reason = summary.failures()[0].reason
         assert record["failure_ex00001"] == reason.replace("\n", "\\n")
 
-    def test_direct_entries_validated_before_any_write(self, corpus):
-        manifest = small_manifest(corpus)
-        manifest.entries[1].rir_rt60 = 9.0
-        with pytest.raises(ManifestError, match="entry 1"):
-            build_dataset(manifest, corpus / "out")
-        assert not (corpus / "out").exists()
-
-    @pytest.mark.parametrize("key, value", [("rir_n_early", 3), ("rir_length", 0.5)])
-    def test_synth_key_without_rir_rt60_rejected_before_any_write(self, corpus, key, value):
-        manifest = small_manifest(corpus)
-        setattr(manifest.entries[0], key, value)  # entry 0 reads its room from rir=
-        with pytest.raises(ManifestError, match=f"entry 0.*'{key}'"):
-            build_dataset(manifest, corpus / "out")
-        assert not (corpus / "out").exists()
-
     def test_strategy_given_as_its_name_fails_only_its_entry(self, corpus):
         entry = ManifestEntry(speech=str(corpus / "missing.wav"), rir_rt60=0.3,
                               strategy="none")
@@ -628,21 +592,6 @@ print(summary.n_ok, start - resident(), *drops)
         assert summary.n_failed == 1
         assert summary.failures()[0].reason.startswith("FileNotFoundError: ")
         assert summary.failures()[0].record == {"strategy": "none"}
-
-    def test_unknown_strategy_rejected_before_any_write(self, corpus):
-        manifest = small_manifest(corpus)
-        manifest.entries[2].strategy = "magic"
-        with pytest.raises(ManifestError, match="entry 2.*'magic'"):
-            build_dataset(manifest, corpus / "out")
-        assert not (corpus / "out").exists()
-
-    @pytest.mark.parametrize("key, value", [("snr_min", 50.0), ("p_noise_free", -0.1)])
-    def test_reassigned_global_rejected_before_any_write(self, corpus, key, value):
-        manifest = small_manifest(corpus)
-        setattr(manifest, key, value)
-        with pytest.raises(ManifestError, match=key):
-            build_dataset(manifest, corpus / "out")
-        assert not (corpus / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bug_propagates(self, corpus, monkeypatch, workers):
@@ -654,14 +603,33 @@ print(summary.n_ok, start - resident(), *drops)
             build_dataset(small_manifest(corpus), corpus / "out", workers=workers)
         assert not (corpus / "out" / "summary.txt").exists()
 
-    @pytest.mark.parametrize("ids", [("dup", "dup", None), ("ex00001", None, None),
-                                     (None, None, "ex00000")])
-    def test_duplicate_resolved_ids_rejected(self, corpus, ids):
-        manifest = small_manifest(corpus)
-        for entry, entry_id in zip(manifest.entries, ids):
-            entry.id = entry_id
-        with pytest.raises(ManifestError, match="id"):
-            build_dataset(manifest, corpus / "out")
+    # a worker count, or (entry index, key, value) settings on small_manifest,
+    # index None for the manifest itself; the error build_dataset raises; its match
+    @pytest.mark.parametrize("change, error, match", [
+        (0, ParameterError, "workers must be at least 1"),
+        (-2, ParameterError, "workers must be at least 1"),
+        ([(1, "rir_rt60", 9.0)], ManifestError, "entry 1"),
+        ([(0, "rir_n_early", 3)], ManifestError, "entry 0.*'rir_n_early'"),  # entry 0 has rir=
+        ([(0, "rir_length", 0.5)], ManifestError, "entry 0.*'rir_length'"),
+        ([(2, "strategy", "magic")], ManifestError, "entry 2.*'magic'"),
+        ([(None, "snr_min", 50.0)], ManifestError, "snr_min"),
+        ([(None, "p_noise_free", -0.1)], ManifestError, "p_noise_free"),
+        ([(0, "id", "dup"), (1, "id", "dup")], ManifestError, "id"),
+        ([(0, "id", "ex00001")], ManifestError, "id"),
+        ([(2, "id", "ex00000")], ManifestError, "id"),
+        ([(1, "seed", -1)], ManifestError, "entry 1.*seed"),
+    ], ids=["workers=0", "workers=-2", "rir_rt60=9.0", "rir_n_early-beside-rir",
+            "rir_length-beside-rir", "strategy=magic", "snr_min=50.0", "p_noise_free=-0.1",
+            "id-twice", "id-of-entry-1", "id-of-entry-0", "seed=-1"])
+    def test_rejected_before_any_write(self, corpus, change, error, match):
+        manifest, workers = small_manifest(corpus), 1
+        if isinstance(change, int):
+            workers = change
+        else:
+            for index, key, value in change:
+                setattr(manifest if index is None else manifest.entries[index], key, value)
+        with pytest.raises(error, match=match):
+            build_dataset(manifest, corpus / "out", workers=workers)
         assert not (corpus / "out").exists()
 
     @pytest.mark.parametrize("entry_id", UNSAFE_IDS)

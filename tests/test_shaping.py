@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rirshape import (ParameterError, Rir, ShapingParams, Strategy, UndefinedDecayError,
-                      attenuation_function, convolve, decay_function, dirac_rir,
-                      estimate_rt60, predicted_target_distance, predicted_target_rt60,
-                      read_rir, shape_rir, synth_rir, write_rir)
+from rirshape import (ParameterError, Rir, ShapingParams, Strategy, attenuation_function,
+                      decay_function, dirac_rir, estimate_rt60, predicted_target_distance,
+                      predicted_target_rt60, read_rir, shape_rir, synth_rir, write_rir)
 from rirshape.dsp import Signal
 from rirshape.shaping import DEFAULT_N_EARLY, MAX_SYNTH_LENGTH, MAX_SYNTH_N_EARLY, MAX_SYNTH_RT60
 
@@ -108,13 +107,6 @@ class TestShapeRir:
         assert shaped.taps.tobytes() == h0.taps.tobytes()
         assert shaped.direct_index == h0.direct_index
 
-    def test_full_zeroes_the_late_tail(self):
-        params = ShapingParams(Strategy.FULL)
-        shaped = shape_rir(self.h0, params)
-        late = shaped.times() > params.t1
-        assert np.all(shaped.taps[late] == 0.0)
-        assert shaped.taps[0] == self.h0.taps[0]
-
     def test_attenuated_decayed_value_at_t1(self):
         taps = np.ones(2000)
         h0 = Rir(taps, FS, 0)
@@ -143,13 +135,6 @@ class TestShapeRir:
     def test_energy_never_grows(self, params):
         shaped = shape_rir(self.h0, params)
         assert np.sum(shaped.taps ** 2) <= np.sum(self.h0.taps ** 2) * (1 + 1e-12)
-
-    def test_attenuation_only_scales_tail_energy_by_alpha_squared(self):
-        params = ShapingParams(Strategy.FULL, alpha=0.4)  # attenuation curve only
-        shaped = shape_rir(self.h0, params)
-        late = self.h0.times() > params.t1
-        ratio = np.sum(shaped.taps[late] ** 2) / np.sum(self.h0.taps[late] ** 2)
-        assert abs(ratio - 0.4 ** 2) < 1e-12
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError):
@@ -246,7 +231,7 @@ class TestSynthRir:
         {"rt60": 0.5, "sample_rate": 0}, {"rt60": 0.5, "sample_rate": -5},
         {"rt60": 0.05, "sample_rate": 1},  # 0.35 s rounds to no tap at all
         {"rt60": 0.5, "length": 1e7}, {"rt60": 0.5, "n_early": 10 ** 9},
-        {"rt60": 0.5, "sample_rate": 384_001},
+        {"rt60": 0.5, "sample_rate": 384_001}, {"rt60": 0.5, "sample_rate": 48000.5},
     ])
     def test_out_of_range_arguments_rejected(self, kwargs):
         with pytest.raises(ParameterError):
@@ -264,14 +249,6 @@ class TestSynthRir:
 
 
 class TestDiracRir:
-    def test_convolution_identity(self):
-        x = Signal(np.arange(1.0, 11.0), FS)
-        assert np.array_equal(convolve(x, [dirac_rir(FS)])[0].samples, x.samples)
-
-    def test_rt60_undefined(self):
-        with pytest.raises(UndefinedDecayError):
-            estimate_rt60(dirac_rir(FS))
-
     def test_shaping_leaves_it_unchanged(self):
         for strategy in Strategy:
             shaped = shape_rir(dirac_rir(FS), ShapingParams(strategy))

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import struct
 
 import numpy as np
@@ -7,6 +9,14 @@ import pytest
 from rirshape import ParameterError, Signal, WavFormatError, read_wav, write_wav
 
 FS = 48000
+
+
+def write_chunks(path, fmt: bytes, payload: bytes, pad: bytes = b""):
+    """Write a RIFF/WAVE file of one ``fmt`` and one ``data`` chunk, as given; return the path."""
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload + pad
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    return path
 
 
 def test_float32_round_trip(tmp_path):
@@ -104,36 +114,21 @@ def test_extensible_header_resolves_to_pcm(tmp_path):
     fmt = struct.pack("<HHIIHH", 0xFFFE, 1, FS, FS * 2, 2, 16)
     fmt += struct.pack("<HHI", 22, 16, 1)  # cbSize, valid bits, channel mask
     fmt += struct.pack("<H", 1) + b"\x00\x00" + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    path = tmp_path / "ext.wav"
-    path.write_bytes(blob)
-    back = read_wav(path)
+    back = read_wav(write_chunks(tmp_path / "ext.wav", fmt, payload))
     assert np.array_equal(np.round(back.samples * 32768.0), [1000, -1000, 2000, -2000])
 
 
 def test_rejects_stereo(tmp_path):
     payload = struct.pack("<4h", 1, 2, 3, 4)
     fmt = struct.pack("<HHIIHH", 1, 2, FS, FS * 4, 4, 16)
-    body = b"fmt " + struct.pack("<I", 16) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    path = tmp_path / "stereo.wav"
-    path.write_bytes(blob)
     with pytest.raises(WavFormatError):
-        read_wav(path)
+        read_wav(write_chunks(tmp_path / "stereo.wav", fmt, payload))
 
 
 def test_rejects_unsupported_depth(tmp_path):
     fmt = struct.pack("<HHIIHH", 1, 1, FS, FS, 1, 8)
-    body = b"fmt " + struct.pack("<I", 16) + fmt
-    body += b"data" + struct.pack("<I", 2) + b"\x80\x80"
-    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    path = tmp_path / "u8.wav"
-    path.write_bytes(blob)
     with pytest.raises(WavFormatError):
-        read_wav(path)
+        read_wav(write_chunks(tmp_path / "u8.wav", fmt, b"\x80\x80"))
 
 
 def test_rejects_non_wav(tmp_path):
@@ -178,10 +173,16 @@ def test_data_size_not_whole_samples_rejected(tmp_path, audio_format, bits):
     width = bits // 8
     payload = bytes(3 * width + 1)  # one byte past the third sample
     fmt = struct.pack("<HHIIHH", audio_format, 1, FS, FS * width, width, bits)
-    body = b"fmt " + struct.pack("<I", 16) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00"
-    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    path = tmp_path / f"odd{bits}.wav"
-    path.write_bytes(blob)
+    path = write_chunks(tmp_path / f"odd{bits}.wav", fmt, payload, pad=b"\x00")
     with pytest.raises(WavFormatError, match=f"odd{bits}.wav"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("name, sample_rate, samples", [
+    ("zero_rate", 0, [0.5]), ("no_samples", FS, []), ("nan_sample", FS, [0.5, math.nan]),
+])
+def test_samples_a_signal_refuses_name_the_file(tmp_path, name, sample_rate, samples):
+    fmt = struct.pack("<HHIIHH", 3, 1, sample_rate, sample_rate * 4, 4, 32)
+    path = write_chunks(tmp_path / f"{name}.wav", fmt, struct.pack(f"<{len(samples)}f", *samples))
+    with pytest.raises(WavFormatError, match="^" + re.escape(f"{path}: ")):
         read_wav(path)
