@@ -239,9 +239,7 @@ class TestManifest:
         "[entry]\nrir=rir.wav\n",  # no speech
         "[entry]\nspeech=s.wav\n",  # no room
         "[entry]\nspeech=s.wav\nrir=r.wav\nrir_rt60=0.5\n",  # two rooms
-        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nsnr=99\n",
         "[stuff]\nx=1\n",
-        "[entry]\nspeech=s.wav\nrir_rt60=0.5\nstrategy=magic\n",
         "[entry]\nspeech=s.wav\nrir=r.wav\nseed=-1\n",
         "seed=1\n[entry]\nspeech=s.wav\nrir_rt60=0.5\n",
         "[entry]\nspeech=s.wav\nrir_rt60=0.5\njust words\n",
@@ -262,6 +260,14 @@ class TestManifest:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ManifestError):
             parse_manifest(text)
+
+    def test_snr_outside_range_rejected(self):
+        with pytest.raises(ManifestError):
+            parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nsnr=99\n")
+
+    def test_bad_strategy_rejected(self):
+        with pytest.raises(ManifestError):
+            parse_manifest("[entry]\nspeech=s.wav\nrir_rt60=0.5\nstrategy=magic\n")
 
     def test_readme_example_parses(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
