@@ -6,10 +6,7 @@ from .bands import (BandMatrix, Filterbank, apply_gains, band_energies,
                     design_erb_filterbank, ideal_gains)
 from .dsp import (FrameSpectra, Signal, analyze, convolve, mix_at_snr,
                   power_complementary_window, synthesize)
-from .errors import (DegenerateEnergyError, KvFormatError, MalformedSpectraError,
-                     ManifestError, ParameterError, RirshapeError,
-                     SampleRateMismatchError, ShapeMismatchError, TooShortError,
-                     UndefinedDecayError, WavFormatError)
+from .errors import ManifestError, ParameterError, RirshapeError, UndefinedDecayError
 from .pipeline import (DatasetManifest, Example, ManifestEntry, build_dataset,
                        generate_example, load_manifest, parse_manifest,
                        sample_entry_randomness)
@@ -22,12 +19,10 @@ from .wavio import read_wav, write_wav
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandMatrix", "DatasetManifest", "DecayCurve", "DegenerateEnergyError",
-    "Example", "Filterbank", "FrameSpectra", "KvFormatError", "MalformedSpectraError",
-    "ManifestEntry", "ManifestError", "ParameterError", "Rir", "RirshapeError",
-    "SampleRateMismatchError", "ShapeMismatchError",
-    "ShapingParams", "ShapingReport", "Signal", "Strategy", "TooShortError",
-    "UndefinedDecayError", "WavFormatError", "analyze", "apply_gains",
+    "BandMatrix", "DatasetManifest", "DecayCurve", "Example", "Filterbank",
+    "FrameSpectra", "ManifestEntry", "ManifestError", "ParameterError", "Rir",
+    "RirshapeError", "ShapingParams", "ShapingReport", "Signal", "Strategy",
+    "UndefinedDecayError", "analyze", "apply_gains",
     "attenuation_function", "band_energies", "build_dataset", "convolve",
     "decay_function", "design_erb_filterbank", "dirac_rir", "drr",
     "energy_decay_curve", "estimate_rt60", "generate_example", "ideal_gains",

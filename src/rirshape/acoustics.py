@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kvtext
-from .errors import DegenerateEnergyError, ParameterError, UndefinedDecayError
+from .errors import ParameterError, UndefinedDecayError
 from .shaping import DEFAULT_T1, Rir, ShapingParams
 
 FIT_RANGE_DB = (-5.0, -35.0)
@@ -44,7 +44,7 @@ def energy_decay_curve(h: Rir) -> DecayCurve:
     remaining = np.cumsum(squares[::-1])[::-1]
     total = remaining[0]
     if total <= 0.0:
-        raise DegenerateEnergyError("impulse response has zero energy")
+        raise ParameterError("impulse response has zero energy")
     with np.errstate(divide="ignore"):
         levels = 10.0 * np.log10(remaining / total)
     times = np.arange(h.taps.size) / h.sample_rate

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kvtext
 from .dsp import FRAME_ADVANCE_MS, FrameSpectra, frame_lengths
-from .errors import ParameterError, SampleRateMismatchError, ShapeMismatchError
+from .errors import ParameterError
 
 N_BANDS = 32
 ENERGY_FLOOR = 1e-9
@@ -131,7 +131,7 @@ class BandMatrix:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
-            raise ShapeMismatchError("band matrix must be 2-D (frames x bands)")
+            raise ParameterError("band matrix must be 2-D (frames x bands)")
         if self.role not in ("energy", "gain"):
             raise ParameterError(f"unknown band-matrix role {self.role!r}")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
@@ -148,7 +148,7 @@ class BandMatrix:
 
 def _check_same_rate(spectra: FrameSpectra, fb: Filterbank) -> None:
     if spectra.sample_rate != fb.sample_rate:
-        raise SampleRateMismatchError(
+        raise ParameterError(
             f"spectra at {spectra.sample_rate} Hz vs filterbank at {fb.sample_rate} Hz")
 
 
@@ -184,8 +184,8 @@ def ideal_gains(target: BandMatrix, noisy: BandMatrix, clamp: bool = True) -> Ba
     and 1 otherwise; the result is never NaN.
     """
     if target.values.shape != noisy.values.shape:
-        raise ShapeMismatchError(
-            f"target {target.values.shape} vs noisy {noisy.values.shape}")
+        raise ParameterError(f"target and noisy band matrices differ in shape: "
+                             f"{target.values.shape} vs {noisy.values.shape}")
     if target.role != "energy" or noisy.role != "energy":
         raise ParameterError("ideal_gains expects two energy-role matrices")
     x = target.values
@@ -206,13 +206,15 @@ def apply_gains(noisy_spectra: FrameSpectra, gains: BandMatrix,
     that owns it.
     """
     _check_same_rate(noisy_spectra, fb)
+    if gains.role != "gain":
+        raise ParameterError(f"apply_gains expects a gain-role matrix, got {gains.role!r}")
     if gains.n_bands != fb.n_bands:
-        raise ShapeMismatchError(f"{gains.n_bands} gain bands vs {fb.n_bands} filter bands")
+        raise ParameterError(f"{gains.n_bands} gain bands vs {fb.n_bands} filter bands")
     if gains.n_frames != noisy_spectra.n_frames:
-        raise ShapeMismatchError(
+        raise ParameterError(
             f"{gains.n_frames} gain frames vs {noisy_spectra.n_frames} spectra frames")
     if noisy_spectra.n_bins != fb.n_bins:
-        raise ShapeMismatchError(
+        raise ParameterError(
             f"{noisy_spectra.n_bins} spectrum bins vs {fb.n_bins} filterbank bins")
     per_bin = np.zeros((fb.n_bins, gains.n_frames))
     for band, (start, stop) in enumerate(fb.spans):  # each bin adds its bands in band order
@@ -239,7 +241,7 @@ def write_band_matrix_csv(matrix: BandMatrix, path, sample_rate: int) -> None:
     """
     fb = design_erb_filterbank(sample_rate)
     if fb.n_bands != matrix.n_bands:
-        raise ShapeMismatchError(f"{matrix.n_bands} columns vs {fb.n_bands} band centers")
+        raise ParameterError(f"{matrix.n_bands} columns vs {fb.n_bands} band centers")
     row_format = ",".join(["%.9g"] * matrix.n_bands)
     lines = ["# role=%s band_centers_hz=%s"
              % (matrix.role, row_format % tuple(fb.band_centers.tolist()))]
@@ -287,6 +289,8 @@ def read_band_matrix_raw(path) -> tuple[BandMatrix, dict]:
     sidecar = kvtext.sidecar_path(path)
     meta = kvtext.load_kv(sidecar)
     layout = kvtext.convert(meta, _RAW_LAYOUT_KEYS, sidecar, others=str)
+    if layout.get("dtype", "float32le") != "float32le":  # the one encoding read here
+        raise ParameterError(f"{sidecar}: dtype={layout['dtype']} is not float32le")
     try:
         frames, bands = layout["frames"], layout["bands"]
         values = np.frombuffer(Path(path).read_bytes(), dtype="<f4").reshape(frames, bands)

@@ -75,8 +75,6 @@ def cmd_shape(args) -> int:
 def cmd_synth_rir(args) -> int:
     _require(args, "rt60")
     seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ParameterError(f"--seed must be non-negative, got {seed}")
     rir = shaping.synth_rir(args.rt60, length=args.length, n_early=args.n_early,
                             seed=seed, sample_rate=args.sample_rate,
                             tail_level=args.tail_level)

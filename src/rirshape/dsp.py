@@ -89,13 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEnergyError,
-    MalformedSpectraError,
-    ParameterError,
-    SampleRateMismatchError,
-    TooShortError,
-)
+from .errors import ParameterError
 
 DEFAULT_SAMPLE_RATE = 48000
 WINDOW_MS = 20.0
@@ -171,9 +165,9 @@ class FrameSpectra:
         frames = np.asarray(self.frames, dtype=np.complex128)
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[0] < 1:
-            raise MalformedSpectraError("frames must be a non-empty 2-D array")
+            raise ParameterError("frames must be a non-empty 2-D array")
         if frames.shape[1] != frame_lengths(self.sample_rate)[0] // 2 + 1:
-            raise MalformedSpectraError(
+            raise ParameterError(
                 f"{frames.shape[1]} bins inconsistent with {self.sample_rate} Hz frames")
 
     @property
@@ -316,7 +310,7 @@ def convolve(x: Signal, responses: list[Signal],
         raise ParameterError("need at least one impulse response")
     for response in responses:
         if x.sample_rate != response.sample_rate:
-            raise SampleRateMismatchError(
+            raise ParameterError(
                 f"signal at {x.sample_rate} Hz vs impulse response at "
                 f"{response.sample_rate} Hz")
     taps = [response.samples for response in responses]
@@ -377,15 +371,15 @@ def mix_at_snr(speech: Signal, noise: Signal, snr_db: float,
         about +-3,000 dB), or NaN, is a ParameterError.
     """
     if speech.sample_rate != noise.sample_rate:
-        raise SampleRateMismatchError(
+        raise ParameterError(
             f"speech at {speech.sample_rate} Hz vs noise at {noise.sample_rate} Hz")
     fitted = fit_noise_length(noise, len(speech), noise_offset)
     p_speech = speech.power()
     p_noise = fitted.power()
     if p_speech == 0.0:
-        raise DegenerateEnergyError("speech has zero energy")
+        raise ParameterError("speech has zero energy")
     if p_noise == 0.0:
-        raise DegenerateEnergyError("noise has zero energy")
+        raise ParameterError("noise has zero energy")
     try:
         noise_gain = float(np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0))))
     except (OverflowError, ZeroDivisionError):  # 10^(snr/10) beyond a float
@@ -415,7 +409,7 @@ def analyze(signals: list[Signal]) -> list[FrameSpectra]:
     for signal in signals:
         win, hop = frame_lengths(signal.sample_rate)
         if len(signal) < win:
-            raise TooShortError(f"signal of {len(signal)} samples shorter than one "
+            raise ParameterError(f"signal of {len(signal)} samples shorter than one "
                                 f"{win}-sample window")
         framed = np.lib.stride_tricks.sliding_window_view(signal.samples, win)[::hop]
         window = power_complementary_window(win)

@@ -16,7 +16,7 @@ import csv
 import io
 import re
 
-from .errors import KvFormatError
+from .errors import ParameterError
 
 # every character str.splitlines() breaks on, escaped as in a Python literal
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -83,10 +83,10 @@ def parse_sections(text: str) -> list[tuple[str | None, dict[str, str]]]:
         elif "=" in line:
             key, _, value = (part.strip() for part in line.partition("="))
             if key in current:
-                raise KvFormatError(f"line {number}: key {key!r} repeated in one block")
+                raise ParameterError(f"line {number}: key {key!r} repeated in one block")
             current[key] = value
         else:
-            raise KvFormatError(f"line {number}: not a key=value line: {line!r}")
+            raise ParameterError(f"line {number}: not a key=value line: {line!r}")
     return sections
 
 
@@ -94,7 +94,7 @@ def parse_kv(text: str) -> dict[str, str]:
     """Parse a single record; a ``[section]`` header is an error."""
     (_, record), *named = parse_sections(text)
     if named:
-        raise KvFormatError(f"unexpected section header [{named[0][0]}]")
+        raise ParameterError(f"unexpected section header [{named[0][0]}]")
     return record
 
 
@@ -102,27 +102,27 @@ def convert(record: dict[str, str], parsers: dict, where: str, others=None) -> d
     """Each value of ``record``, in order, converted by its key's parser or else ``others``.
 
     A key with neither, or a value its parser refuses with ValueError, is a
-    KvFormatError naming ``where`` and the key.
+    ParameterError naming ``where`` and the key.
     """
     values = {}
     for key, raw in record.items():
         parser = parsers.get(key, others)
         if parser is None:
-            raise KvFormatError(f"{where}: unknown key {key!r}")
+            raise ParameterError(f"{where}: unknown key {key!r}")
         try:
             values[key] = parser(raw)
         except ValueError as exc:
-            raise KvFormatError(f"{where}: bad value for {key!r}: {exc}") from None
+            raise ParameterError(f"{where}: bad value for {key!r}: {exc}") from None
     return values
 
 
 def read_text(path) -> str:
-    """A file's text; bytes that are not UTF-8 raise KvFormatError naming the path."""
+    """A file's text; bytes that are not UTF-8 raise ParameterError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise KvFormatError(f"{path}: not UTF-8 text ({exc})") from None
+        raise ParameterError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def sidecar_path(path) -> str:  # the record that describes the file at ``path``
@@ -133,8 +133,8 @@ def load_kv(path) -> dict[str, str]:
     text = read_text(path)
     try:
         return parse_kv(text)
-    except KvFormatError as exc:  # name the file, as read_text does
-        raise KvFormatError(f"{path}: {exc}") from None
+    except ParameterError as exc:  # name the file, as read_text does
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def save_kv(record: dict, path) -> None:

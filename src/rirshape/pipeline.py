@@ -24,8 +24,7 @@ from .acoustics import estimate_rt60
 from .bands import (BandMatrix, band_energies, design_erb_filterbank, ideal_gains,
                     write_band_matrix_csv)
 from .dsp import DEFAULT_SAMPLE_RATE, Signal, analyze, convolve, mix_at_snr
-from .errors import (KvFormatError, ManifestError, ParameterError, RirshapeError,
-                     UndefinedDecayError)
+from .errors import ManifestError, ParameterError, RirshapeError, UndefinedDecayError
 from .shaping import (Rir, ShapingParams, Strategy, check_synth_args, read_rir, shape_rir,
                       synth_rir)
 from .wavio import read_wav, write_wav
@@ -193,8 +192,11 @@ def generate_example(speech: Signal, noise: Signal | None, h0: Rir,
     identically to the speech length plus ``TAIL_SECONDS``, so they
     stay sample-aligned. Passing no noise makes a noise-free example
     (``snr_db`` is ignored). The only randomness is the noise crop
-    offset, drawn from ``seed``, so the result is fully deterministic.
+    offset, drawn from ``seed`` (a non-negative integer), so the result is
+    fully deterministic.
     """
+    if seed < 0:  # numpy seeds no generator from it
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if speech.sample_rate != DEFAULT_SAMPLE_RATE:
         raise ParameterError(
             f"speech must be {DEFAULT_SAMPLE_RATE} Hz, got {speech.sample_rate}")
@@ -289,7 +291,7 @@ def parse_manifest(text: str) -> DatasetManifest:
                 entries.append(ManifestEntry(**values))
             else:
                 raise ManifestError(f"unknown manifest section [{name}]")
-    except KvFormatError as exc:
+    except ParameterError as exc:
         raise ManifestError(str(exc)) from exc
     manifest = DatasetManifest(entries, **(globals_ or {}))
     manifest.validate()
@@ -313,7 +315,7 @@ def format_manifest(manifest: DatasetManifest) -> str:
 def load_manifest(path) -> DatasetManifest:
     try:
         return parse_manifest(kvtext.read_text(path))
-    except KvFormatError as exc:  # parse_manifest raises ManifestError, so not UTF-8
+    except ParameterError as exc:  # parse_manifest raises ManifestError, so not UTF-8
         raise ManifestError(str(exc)) from exc
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kvtext, wavio
 from .dsp import DEFAULT_SAMPLE_RATE, Signal
-from .errors import DegenerateEnergyError, ParameterError
+from .errors import ParameterError
 
 DEFAULT_T0 = 0.020
 DEFAULT_T1 = 0.030
@@ -131,7 +131,7 @@ class Rir(Signal):
             raise ParameterError(
                 f"direct_index {self.direct_index} outside [0, {self.samples.size})")
         if not np.any(self.samples != 0.0):
-            raise DegenerateEnergyError("impulse response has zero total energy")
+            raise ParameterError("impulse response has zero total energy")
 
     @property
     def taps(self) -> np.ndarray:
@@ -242,6 +242,8 @@ def synth_rir(rt60: float, *, length: float | None = None, n_early: int | None =
     if not 0 < sample_rate <= MAX_SYNTH_SAMPLE_RATE:
         raise ParameterError(
             f"sample_rate must lie in (0, {MAX_SYNTH_SAMPLE_RATE}] Hz, got {sample_rate}")
+    if seed < 0:  # numpy seeds no generator from it
+        raise ParameterError(f"seed must be non-negative, got {seed}")
 
     n = int(round(length * sample_rate))
     if n <= round(SYNTH_EARLY_WINDOW[1] * sample_rate):
@@ -305,7 +307,8 @@ def read_rir(path) -> Rir:
     """Read a WAV impulse response, using the sidecar's direct index if present.
 
     Without a sidecar the direct path is detected as the peak-magnitude tap.
-    A sidecar's ``sample_rate=`` must match the WAV header.
+    A sidecar's ``sample_rate=`` must match the WAV header. Every refusal
+    names the file at fault: the sidecar for its values, the WAV for its taps.
     """
     signal = wavio.read_wav(path)
     sidecar = kvtext.sidecar_path(path)
@@ -321,4 +324,9 @@ def read_rir(path) -> Rir:
     direct_index = values.get("direct_index")
     if direct_index is None:
         direct_index = int(np.argmax(np.abs(signal.samples)))
-    return Rir(signal.samples, signal.sample_rate, direct_index)
+    elif not 0 <= direct_index < len(signal):
+        raise ParameterError(f"{sidecar}: direct_index {direct_index} outside [0, {len(signal)})")
+    try:
+        return Rir(signal.samples, signal.sample_rate, direct_index)
+    except ParameterError as exc:  # taps with zero total energy
+        raise ParameterError(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .dsp import Signal
-from .errors import ParameterError, WavFormatError
+from .errors import ParameterError
 
 _FORMAT_PCM = 0x0001
 _FORMAT_FLOAT = 0x0003
@@ -28,7 +28,7 @@ def read_wav(path) -> Signal:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        raise ParameterError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -42,22 +42,22 @@ def read_wav(path) -> Signal:
             fmt = _parse_fmt(body, path)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise WavFormatError(f"{path}: truncated data chunk")
+                raise ParameterError(f"{path}: truncated data chunk")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
+        raise ParameterError(f"{path}: missing fmt or data chunk")
     audio_format, n_channels, sample_rate, bits = fmt
     if n_channels != 1:
-        raise WavFormatError(f"{path}: only mono supported, got {n_channels} channels")
+        raise ParameterError(f"{path}: only mono supported, got {n_channels} channels")
 
     if (audio_format, bits) not in ((_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_FLOAT, 32)):
-        raise WavFormatError(
+        raise ParameterError(
             f"{path}: unsupported format (code={audio_format:#06x}, bits={bits}); "
             "accepted: 16/24-bit PCM, 32-bit float")
     if len(payload) % (bits // 8):
-        raise WavFormatError(f"{path}: data chunk holds a partial {bits}-bit sample")
+        raise ParameterError(f"{path}: data chunk holds a partial {bits}-bit sample")
     if bits == 16:
         raw = np.frombuffer(payload, dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
@@ -72,16 +72,16 @@ def read_wav(path) -> Signal:
     try:
         return Signal(samples, sample_rate)
     except ParameterError as exc:  # a zero rate, no samples, or a NaN or Inf sample
-        raise WavFormatError(f"{path}: {exc}") from None
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
-        raise WavFormatError(f"{path}: fmt chunk too small")
+        raise ParameterError(f"{path}: fmt chunk too small")
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
     if audio_format == _FORMAT_EXTENSIBLE:
         if len(body) < 26:
-            raise WavFormatError(f"{path}: extensible fmt chunk too small")
+            raise ParameterError(f"{path}: extensible fmt chunk too small")
         # the first two bytes of the subformat GUID are the real format code
         (audio_format,) = struct.unpack_from("<H", body, 24)
     return audio_format, n_channels, sample_rate, bits
@@ -115,7 +115,7 @@ def write_wav(signal: Signal, path, encoding: str = "float32") -> None:
         payload[:, 2] = (raw >> 16) & 0xFF
         audio_format, bits = _FORMAT_PCM, 24
     else:
-        raise WavFormatError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+        raise ParameterError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
     bytes_per_sample = bits // 8
     if signal.sample_rate * bytes_per_sample > 0xFFFFFFFF:

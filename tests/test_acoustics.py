@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rirshape import (DegenerateEnergyError, Rir, ShapingParams, Strategy,
-                      UndefinedDecayError, dirac_rir, drr, energy_decay_curve,
-                      estimate_rt60, shape_rir, synth_rir, verify_shaping)
+from rirshape import (Rir, ShapingParams, Strategy, UndefinedDecayError, dirac_rir, drr,
+                      energy_decay_curve, estimate_rt60, shape_rir, synth_rir,
+                      verify_shaping)
 from rirshape.errors import ParameterError
 
 FS = 48000
@@ -39,7 +39,7 @@ class TestEnergyDecayCurve:
         assert slope == pytest.approx(-100.0, rel=0.10)  # -60 / 0.6 dB/s
 
     def test_zero_energy_rejected(self):
-        with pytest.raises(DegenerateEnergyError):
+        with pytest.raises(ParameterError, match="impulse response has zero total energy"):
             Rir(np.zeros(10), FS)
 
 

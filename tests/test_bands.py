@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from rirshape import (BandMatrix, ParameterError, SampleRateMismatchError,
-                      ShapeMismatchError, Signal, analyze, apply_gains, band_energies,
-                      design_erb_filterbank, ideal_gains)
+from rirshape import (BandMatrix, ParameterError, Signal, analyze, apply_gains,
+                      band_energies, design_erb_filterbank, ideal_gains)
 from rirshape.bands import (erb_rate, read_band_matrix_csv, read_band_matrix_raw,
                             write_band_matrix_csv, write_band_matrix_raw)
 from rirshape.dsp import FrameSpectra
@@ -109,7 +108,8 @@ class TestBandEnergies:
     def test_fft_mismatch_rejected(self, fb):
         # 16 kHz frames have 161 bins; the sample rate fixes the layout
         spectra = FrameSpectra(np.zeros((9, 161), dtype=complex), 16000)
-        with pytest.raises(SampleRateMismatchError):
+        with pytest.raises(ParameterError,
+                           match="spectra at 16000 Hz vs filterbank at 48000 Hz"):
             band_energies(spectra, fb)
 
 
@@ -141,7 +141,7 @@ class TestIdealGains:
     def test_shape_mismatch_rejected(self):
         x = BandMatrix(np.zeros((2, 32)), "energy")
         y = BandMatrix(np.zeros((3, 32)), "energy")
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ParameterError, match=r"differ in shape: \(2, 32\) vs \(3, 32\)"):
             ideal_gains(x, y)
 
     def test_role_checked(self):
@@ -213,14 +213,21 @@ class TestApplyGains:
         other = design_erb_filterbank(48050)
         assert other.n_bins == spectra.n_bins
         gains = BandMatrix(np.ones((spectra.n_frames, 32)), "gain")
-        with pytest.raises(SampleRateMismatchError):
+        with pytest.raises(ParameterError,
+                           match="spectra at 48000 Hz vs filterbank at 48050 Hz"):
             apply_gains(spectra, gains, other)
 
     def test_frame_mismatch_rejected(self, fb):
         spectra = analyze([speech_like(0.1)])[0]
         gains = BandMatrix(np.ones((spectra.n_frames + 1, 32)), "gain")
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ParameterError, match=f"{spectra.n_frames + 1} gain frames vs "
+                                                 f"{spectra.n_frames} spectra frames"):
             apply_gains(spectra, gains, fb)
+
+    def test_energy_role_rejected(self, fb):
+        spectra = analyze([speech_like(0.1)])[0]
+        with pytest.raises(ParameterError, match="expects a gain-role matrix, got 'energy'"):
+            apply_gains(spectra, band_energies(spectra, fb), fb)
 
 
 class TestSparseProductReference:
@@ -345,7 +352,7 @@ class TestSerialization:
         assert back.values.shape == (0, 32) and meta["frames"] == "0"
 
     @pytest.mark.parametrize("name", [*MALFORMED_CSV, "short.f32", "long.f32",
-                                      "bad_meta.f32"])
+                                      "bad_meta.f32", "bad_dtype.f32"])
     def test_malformed_file_names_its_path(self, tmp_path, name):
         path = tmp_path / name
         if name in self.MALFORMED_CSV:
@@ -354,9 +361,11 @@ class TestSerialization:
         else:
             write_band_matrix_raw(BandMatrix(np.ones((3, 4)), "gain"), path, FS)
             data = path.read_bytes()
+            meta = tmp_path / f"{name}.meta.txt"
             if name == "bad_meta.f32":
-                meta = tmp_path / f"{name}.meta.txt"
                 meta.write_text(meta.read_text().replace("frames=3", "frames=three"))
+            elif name == "bad_dtype.f32":  # float64be data would be decoded as float32le
+                meta.write_text(meta.read_text().replace("dtype=float32le", "dtype=float64be"))
             else:
                 path.write_bytes(data[:-4] if name == "short.f32" else data + data[:4])
             read = read_band_matrix_raw

@@ -415,7 +415,7 @@ class TestMalformedInputs:
         (["synth-rir", "--rt60", "0.5", "--length", "1e7"], "length"),
         (["synth-rir", "--rt60", "0.5", "--n-early", "1000000000"], "n_early"),
         (["synth-rir", "--rt60", "0.5", "--sample-rate", "384001"], "sample_rate"),
-        (["synth-rir", "--rt60", "0.5", "--seed", "-1"], "--seed"),
+        (["synth-rir", "--rt60", "0.5", "--seed", "-1"], "seed must be non-negative"),
     ])
     def test_non_finite_or_nonpositive_flag_is_one_error_line(self, tmp_path, rir_file,
                                                                monkeypatch, capsys,

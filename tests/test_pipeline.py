@@ -158,6 +158,13 @@ class TestGenerateExample:
             generate_example(speech, noise, h0, ShapingParams(Strategy.NONE),
                              None, seed=1)
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_rejects_negative_seed(self, speech, noise, noisy):
+        # the seed draws only the noise offset, yet a noise-free example refuses it too
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            generate_example(speech, noise if noisy else None, synth_rir(0.3, seed=6),
+                             ShapingParams(Strategy.NONE), 10.0, seed=-1)
+
     def test_rejects_non_48k_speech(self, noise):
         slow = speech_like(0.2, seed=0, sample_rate=16000)
         h0 = synth_rir(0.3, seed=6, sample_rate=16000)

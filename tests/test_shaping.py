@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rirshape import (ParameterError, Rir, ShapingParams, Strategy, attenuation_function,
                       decay_function, dirac_rir, estimate_rt60, predicted_target_distance,
-                      predicted_target_rt60, read_rir, shape_rir, synth_rir, write_rir)
+                      predicted_target_rt60, read_rir, shape_rir, synth_rir, write_rir,
+                      write_wav)
 from rirshape.dsp import Signal
 from rirshape.shaping import DEFAULT_N_EARLY, MAX_SYNTH_LENGTH, MAX_SYNTH_N_EARLY, MAX_SYNTH_RT60
 
@@ -232,6 +234,7 @@ class TestSynthRir:
         {"rt60": 0.05, "sample_rate": 1},  # 0.35 s rounds to no tap at all
         {"rt60": 0.5, "length": 1e7}, {"rt60": 0.5, "n_early": 10 ** 9},
         {"rt60": 0.5, "sample_rate": 384_001}, {"rt60": 0.5, "sample_rate": 48000.5},
+        {"rt60": 0.5, "seed": -1},
     ])
     def test_out_of_range_arguments_rejected(self, kwargs):
         with pytest.raises(ParameterError):
@@ -340,6 +343,20 @@ class TestRirFiles:
             read_rir(path)
         assert str(sidecar) in str(raised.value)
 
+    @pytest.mark.parametrize("fault", ["direct_index", "taps"])
+    def test_refusal_names_the_file_at_fault(self, tmp_path, fault):
+        path = tmp_path / "h.wav"
+        sidecar = tmp_path / "h.wav.meta.txt"
+        if fault == "direct_index":  # the sidecar's index lies past the taps
+            write_rir(synth_rir(0.3, seed=9), path)
+            sidecar.write_text("direct_index=999999\n", encoding="utf-8")
+            refusal = f"{sidecar}: direct_index 999999 outside [0, {round(0.6 * FS)})"
+        else:  # the WAV holds only zeros
+            write_wav(Signal(np.zeros(100), FS), path)
+            refusal = f"{path}: impulse response has zero total energy"
+        with pytest.raises(ParameterError, match="^" + re.escape(refusal)):
+            read_rir(path)
+
     def test_direct_detected_without_sidecar(self, tmp_path):
         taps = np.zeros(100)
         taps[7] = -0.9
@@ -350,8 +367,7 @@ class TestRirFiles:
         assert read_rir(path).direct_index == 7
 
     def test_rir_validation(self):
-        from rirshape import DegenerateEnergyError
-        with pytest.raises(DegenerateEnergyError):
+        with pytest.raises(ParameterError, match="impulse response has zero total energy"):
             Rir(np.zeros(10), FS)
         with pytest.raises(ParameterError):
             Rir(np.ones(10), FS, direct_index=10)

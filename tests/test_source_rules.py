@@ -88,6 +88,14 @@ def kv_split(node: ast.AST) -> list[str]:
     return []
 
 
+def error_class(node: ast.AST) -> list[str]:
+    """A class whose bases name ``Exception`` or an ``...Error``: a new exception type."""
+    bases = [ast.unparse(base) for base in node.bases] if isinstance(node, ast.ClassDef) else []
+    if any(base.rpartition(".")[2].endswith(("Exception", "Error")) for base in bases):
+        return [f"class {node.name}({', '.join(bases)})"]
+    return []
+
+
 # rule -> (predicate, {owner module: exactly what it may hold})
 RULES = {
     "scipy": (lambda node: imports(node, {"scipy"}), {}),
@@ -96,6 +104,11 @@ RULES = {
     "memory": (memory_policy, {"dsp.py": ["import ctypes", "os.register_at_fork"]}),
     "env": (env_read, {"cli.py": ["os.environ.get(ENV_OUT_DIR, '.')"]}),
     "kv-split": (kv_split, {"kvtext.py": ["line.partition('=')"]}),
+    # a class exists only where code catches it or README names it (see errors.py)
+    "errors": (error_class, {"errors.py": [
+        "class RirshapeError(Exception)", "class ParameterError(RirshapeError, ValueError)",
+        "class ManifestError(RirshapeError, ValueError)",
+        "class UndefinedDecayError(RirshapeError, ValueError)"]}),
 }
 
 
@@ -123,7 +136,7 @@ def assert_owner_holds(rule: str, owner: str) -> None:
     assert sorted(what for _, what in found) == sorted(RULES[rule][1][owner])
 
 
-HERE = ("scipy", "blas", "kv-split")
+HERE = ("scipy", "blas", "kv-split", "errors")
 
 
 @pytest.mark.parametrize("rule, module", [(rule, module) for rule in HERE for module in MODULES])
@@ -172,6 +185,11 @@ DETECTOR_CASES = {
                   'dict(i.split("=", 1) for i in items)'],
                  ['line.split(",")', "line.split()", 'line.partition(":")', 'x.split(sep)',
                   '"=" in line', 'line.split("==")', 'line.strip("=")']),
+    "errors": (["class E(Exception): pass", "class E(BaseException): pass",
+                "class E(KeyError): pass", "class E(RirshapeError, ValueError): pass",
+                "class E(errors.ParameterError): pass", "def f():\n    class E(OSError): pass"],
+               ["class E: pass", "class E(str, Enum): pass", "class ErrorLog(dict): pass",
+                "raise ValueError('x')", "try:\n    pass\nexcept ValueError:\n    pass"]),
 }
 
 

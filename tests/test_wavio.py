@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from rirshape import ParameterError, Signal, WavFormatError, read_wav, write_wav
+from rirshape import ParameterError, Signal, read_wav, write_wav
 
 FS = 48000
 
@@ -121,25 +121,25 @@ def test_extensible_header_resolves_to_pcm(tmp_path):
 def test_rejects_stereo(tmp_path):
     payload = struct.pack("<4h", 1, 2, 3, 4)
     fmt = struct.pack("<HHIIHH", 1, 2, FS, FS * 4, 4, 16)
-    with pytest.raises(WavFormatError):
+    with pytest.raises(ParameterError, match="only mono supported, got 2 channels"):
         read_wav(write_chunks(tmp_path / "stereo.wav", fmt, payload))
 
 
 def test_rejects_unsupported_depth(tmp_path):
     fmt = struct.pack("<HHIIHH", 1, 1, FS, FS, 1, 8)
-    with pytest.raises(WavFormatError):
+    with pytest.raises(ParameterError, match=r"unsupported format \(code=0x0001, bits=8\)"):
         read_wav(write_chunks(tmp_path / "u8.wav", fmt, b"\x80\x80"))
 
 
 def test_rejects_non_wav(tmp_path):
     path = tmp_path / "not.wav"
     path.write_bytes(b"this is not audio")
-    with pytest.raises(WavFormatError):
+    with pytest.raises(ParameterError, match="not a RIFF/WAVE file"):
         read_wav(path)
 
 
 def test_rejects_unknown_encoding(tmp_path):
-    with pytest.raises(WavFormatError):
+    with pytest.raises(ParameterError, match="unknown encoding 'pcm32'"):
         write_wav(Signal(np.array([0.1]), FS), tmp_path / "x.wav", encoding="pcm32")
 
 
@@ -174,8 +174,14 @@ def test_data_size_not_whole_samples_rejected(tmp_path, audio_format, bits):
     payload = bytes(3 * width + 1)  # one byte past the third sample
     fmt = struct.pack("<HHIIHH", audio_format, 1, FS, FS * width, width, bits)
     path = write_chunks(tmp_path / f"odd{bits}.wav", fmt, payload, pad=b"\x00")
-    with pytest.raises(WavFormatError, match=f"odd{bits}.wav"):
+    with pytest.raises(ParameterError,
+                       match=f"odd{bits}.wav: data chunk holds a partial {bits}-bit sample"):
         read_wav(path)
+
+
+SIGNAL_REFUSALS = {"zero_rate": "sample_rate must be a positive integer",
+                   "no_samples": "signal must be a non-empty 1-D array",
+                   "nan_sample": "signal contains NaN or Inf samples"}
 
 
 @pytest.mark.parametrize("name, sample_rate, samples", [
@@ -184,5 +190,5 @@ def test_data_size_not_whole_samples_rejected(tmp_path, audio_format, bits):
 def test_samples_a_signal_refuses_name_the_file(tmp_path, name, sample_rate, samples):
     fmt = struct.pack("<HHIIHH", 3, 1, sample_rate, sample_rate * 4, 4, 32)
     path = write_chunks(tmp_path / f"{name}.wav", fmt, struct.pack(f"<{len(samples)}f", *samples))
-    with pytest.raises(WavFormatError, match="^" + re.escape(f"{path}: ")):
+    with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: {SIGNAL_REFUSALS[name]}")):
         read_wav(path)
